@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Parent-vs-change comparison for the repo benchmark.
 
-Runs perfbench/run.py in two checkouts on the same seeds, alternating which
-side runs first, and prints for every end-to-end metric each side's median
-and quartiles, the change's median relative to the parent's, how many pairs
-the change won (ties count for neither), and the metric's bound.
+Runs perfbench/run.py in two checkouts on seeds 1..PAIRS, both sides at
+the change's BENCHMARK.json run_seconds, alternating which side runs
+first, and prints for every end-to-end metric each side's median and
+quartiles, the change's median relative to the parent's, how many pairs the
+change won (ties count for neither), and the metric's bound.
 
   python3 perfbench/compare.py PARENT_DIR CHANGE_DIR --workload table1 \\
-      [--pairs 10] [--seed0 1] [--seconds 15]
+      [--pairs 10]
 """
 import argparse
 import json
@@ -19,9 +20,8 @@ import sys
 
 def run(checkout, workload, seed, seconds):
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
-           "--workload", workload, "--seed", str(seed), "--trace", "0"]
-    if seconds:
-        cmd += ["--seconds", str(seconds)]
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
     p = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
     lines = p.stdout.strip().splitlines()
     if p.returncode != 0 or not lines:
@@ -43,8 +43,6 @@ def main():
     ap.add_argument("change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed0", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=None)
     a = ap.parse_args()
     with open(os.path.join(a.change, "BENCHMARK.json")) as f:
         spec = json.load(f)
@@ -53,10 +51,11 @@ def main():
     for i in range(a.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run(getattr(a, side), a.workload,
-                                  a.seed0 + i, a.seconds))
+            runs[side].append(run(getattr(a, side), a.workload, i + 1,
+                                  spec["run_seconds"]))
 
-    print("%s, %d pairs: median [q1, q3] per side" % (a.workload, a.pairs))
+    print("%s, %d pairs at %d s: median [q1, q3] per side"
+          % (a.workload, a.pairs, spec["run_seconds"]))
     for m in spec["end_to_end"]:
         name = m["name"]
         lower = m["better"] == "lower"

@@ -53,7 +53,7 @@ double seconds_since(Clock::time_point t0) {
 }
 
 /// Set-ups per run; setup_s is their median.
-constexpr int kSetupReps = 3;
+constexpr int kSetupReps = 5;
 /// Latency charged to an operation that failed or was refused: it misses
 /// every latency limit.
 constexpr double kMissed = 1e9;
@@ -194,12 +194,16 @@ struct Report {
   std::vector<std::string> errors;  ///< one per failed operation or check
   std::int64_t attempted = 0;
   int reps = 0;
+  std::vector<double> unit_walls;  ///< each repetition's timed wall
   std::uint64_t digest = kFnvBasis;  ///< over every answer's sizes_hash
   /// Coverage denominator: summed wall time of the jobs whose root spans
   /// the traced run attributes, and on which threads those roots run.
   double job_wall = 0.0;
   bool roots_main = false;
   bool roots_workers = false;
+  /// The driver thread's Pipeline::run only encloses the worker jobs and
+  /// waits for them: a container, not self work (shard).
+  bool main_pass_container = false;
 
   void fail(std::string msg) { errors.push_back(std::move(msg)); }
 };
@@ -210,7 +214,7 @@ struct Report {
 void summarize(const std::vector<std::vector<Op>>& reps,
                const std::vector<double>& unit_walls, Report& out) {
   const std::vector<Op>& first = reps.front();
-  std::vector<double> p50, p90;
+  std::vector<double> p50, p90, lat_mean;
   for (std::size_t r = 0; r < reps.size(); ++r) {
     if (reps[r].size() != first.size()) {
       out.fail(strf("repetition %zu ran %zu operations, repetition 1 ran %zu",
@@ -228,6 +232,7 @@ void summarize(const std::vector<std::vector<Op>>& reps,
     }
     p50.push_back(quantile(lat, 0.5));
     p90.push_back(quantile(lat, 0.9));
+    lat_mean.push_back(mean(lat));
   }
   std::vector<double> service;
   for (std::size_t i = 0; i < first.size(); ++i) {
@@ -239,10 +244,12 @@ void summarize(const std::vector<std::vector<Op>>& reps,
     service.push_back(median(s));
   }
   out.reps = static_cast<int>(reps.size());
+  out.unit_walls = unit_walls;
   out.e2e["batch_s"] = median(unit_walls);
   out.e2e["job_gmean_s"] = gmean(service);
   out.e2e["p50_s"] = median(p50);
   out.e2e["p90_s"] = median(p90);
+  out.e2e["lat_mean_s"] = median(lat_mean);
 }
 
 /// area_ratio (geometric mean over answers meeting their target) and
@@ -342,6 +349,13 @@ int cpu_count() {
   if (sched_getaffinity(0, sizeof set, &set) == 0)
     return std::max(1, CPU_COUNT(&set));
   return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+/// The process's peak resident set so far.
+double peak_rss_mb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
 }
 
 // ---------------------------------------------------------------------------
@@ -605,8 +619,12 @@ void run_shard(const Args& a, int threads, Report& out) {
   out.layer["engine.run_s"] = mean(run);
   out.layer["engine.busy_share"] = mean(busy);
   out.layer["sizing.dphase.accepted"] = accepted / n;
-  for (const double w : walls) out.job_wall += w;
-  out.roots_main = true;
+  // Coverage: the per-shard jobs' root spans on the workers over those
+  // jobs' own wall times. The driver thread's Pipeline::run span (the
+  // whole sharded solve) holds the waits for them.
+  for (const double w : run) out.job_wall += w;
+  out.roots_workers = true;
+  out.main_pass_container = true;
 }
 
 // ---------------------------------------------------------------------------
@@ -618,8 +636,11 @@ const std::vector<std::string> kServeCircuits = {"c432",  "c499",  "c880",
 const std::vector<double> kServeRatios = {0.6, 0.7, 0.8};
 const std::string kSessionCircuit = "c1908";  // the ECO session's circuit
 constexpr double kSessionRatio = 0.7;
-constexpr double kSubmitRate = 8.5;  // cold submits per second
-constexpr double kResizeRate = 8.5;  // ECO resizes per second
+// Rates chosen so that the worker pool and the request thread (which runs
+// every resize) stay under half busy even when the host runs slow; see
+// README.md.
+constexpr double kSubmitRate = 16.0;  // cold submits per second
+constexpr double kResizeRate = 6.0;  // ECO resizes per second
 constexpr double kSubmitSlo = 1.0;   // seconds, due time to result
 constexpr double kResizeSlo = 0.1;
 
@@ -687,13 +708,14 @@ std::string vertex_list(const std::vector<std::pair<NodeId, double>>& items) {
 }
 
 /// The seeded open-loop schedule. Each class sends a fixed count at its
-/// rate with arrival times uniform over the run (a Poisson process
-/// conditioned on its count). Submits cycle through every circuit × ratio
-/// pair in a seeded order. Resizes form one ECO delta chain against
-/// session `sid`, drawn in arrival order: zero deltas, ±1 % target nudges
-/// kept near the base target, clustered load edits on 1–3 vertices of a
-/// 3-level band (later reverted), and size pins near the base solution
-/// (later released).
+/// rate; its i-th request is due at a uniform point of the i-th of `count`
+/// equal slots of the run (a Poisson stream's rate without its bursts,
+/// which made latency too unsteady to gate). Submits cycle through every
+/// circuit × ratio pair in a seeded order. Resizes form one ECO delta
+/// chain against session `sid`, drawn in arrival order: zero deltas, ±1 %
+/// target nudges kept near the base target, clustered load edits on 1–3
+/// vertices of a 3-level band (later reverted), and size pins near the base
+/// solution (later released), in a fixed mix.
 std::vector<Request> make_schedule(std::uint64_t seed, double seconds,
                                    std::uint64_t sid, const SizingNetwork& net,
                                    const std::vector<double>& base_sizes,
@@ -704,9 +726,10 @@ std::vector<Request> make_schedule(std::uint64_t seed, double seconds,
   const int nr =
       std::max(1, static_cast<int>(std::lround(kResizeRate * seconds)));
   auto arrivals = [&](int count) {
+    const double slot = seconds / count;
     std::vector<double> t(static_cast<std::size_t>(count));
-    for (double& x : t) x = rng.uniform(0.0, seconds);
-    std::sort(t.begin(), t.end());
+    for (std::size_t i = 0; i < t.size(); ++i)
+      t[i] = slot * (static_cast<double>(i) + rng.uniform(0.0, 1.0));
     return t;
   };
   const std::vector<double> ts = arrivals(ns);
@@ -752,6 +775,22 @@ std::vector<Request> make_schedule(std::uint64_t seed, double seconds,
         if (!busy[static_cast<std::size_t>(v)]) cand.push_back(v);
     return cand;
   };
+  // The kind mix is fixed (40 % zero, 30 % nudges, 20 % load edits, 10 %
+  // pins); the seed orders it and picks every delta's contents. Load
+  // edits and pins nearly always fall back to a cold solve.
+  enum Kind { kZero, kNudge, kLoads, kPins };
+  std::vector<Kind> kinds(static_cast<std::size_t>(nr), kPins);
+  const int nz = static_cast<int>(std::lround(0.40 * nr));
+  const int nn = static_cast<int>(std::lround(0.70 * nr)) - nz;
+  const int nl = static_cast<int>(std::lround(0.90 * nr)) - nz - nn;
+  for (int k = 0; k < nz + nn + nl; ++k)
+    kinds[static_cast<std::size_t>(k)] =
+        k < nz ? kZero : (k < nz + nn ? kNudge : kLoads);
+  for (std::size_t i = kinds.size() - 1; i > 0; --i)
+    std::swap(kinds[i], kinds[rng.index(i + 1)]);
+  // Load edits alternate between a new edit and reverting the oldest open
+  // one, pins between pinning and releasing.
+  bool revert_next = true, release_next = true;
   double target = base_target;
   for (int k = 0; k < nr; ++k) {
     Request q;
@@ -759,19 +798,20 @@ std::vector<Request> make_schedule(std::uint64_t seed, double seconds,
     q.resize = true;
     q.id = strf("r%d", k);
     std::string extra;
-    const double u = rng.uniform(0.0, 1.0);
-    if (u < 0.25) {
+    const Kind kind = kinds[static_cast<std::size_t>(k)];
+    if (kind == kZero) {
       // The zero delta: a fixpoint.
-    } else if (u < 0.5) {
+    } else if (kind == kNudge) {
       double dir = rng.flip(0.5) ? 1.0 : -1.0;
       if (target > base_target * 1.015) dir = -1.0;
       if (target < base_target * 0.985) dir = 1.0;
       target *= 1.0 + 0.01 * dir;
       q.delta.target_delay = target;
       extra = strf(",\"target\":%.17g", target);
-    } else if (u < 0.85) {
+    } else if (kind == kLoads) {
       std::vector<std::pair<NodeId, double>> loads;
-      if (!open_edits.empty() && rng.flip(0.5)) {
+      revert_next = !revert_next;
+      if (!open_edits.empty() && revert_next) {
         const Edit e = open_edits.front();
         open_edits.erase(open_edits.begin());
         for (const NodeId v : e.vertices) {
@@ -801,7 +841,8 @@ std::vector<Request> make_schedule(std::uint64_t seed, double seconds,
       extra = ",\"loads\":\"" + vertex_list(loads) + "\"";
     } else {
       std::vector<std::pair<NodeId, double>> pins;
-      if (!pinned.empty() && rng.flip(0.5)) {
+      release_next = !release_next;
+      if (!pinned.empty() && release_next) {
         const std::size_t i = rng.index(pinned.size());
         const NodeId v = pinned[i];
         pinned[i] = pinned.back();
@@ -913,6 +954,7 @@ void run_serve(const Args& a, int cpus, Report& out) {
       a.seed, a.seconds, sid, sc.net(), base.sizes, base_target);
   const DaemonStats before = daemon->stats();
   std::vector<double> sent(sched.size(), 0.0);
+  double request_busy = 0.0;  // time the request thread spent in handle_line
   trace_on(true);
   const Clock::time_point t0 = Clock::now() + std::chrono::milliseconds(20);
   for (std::size_t i = 0; i < sched.size(); ++i) {
@@ -921,10 +963,13 @@ void run_serve(const Args& a, int cpus, Report& out) {
                  std::chrono::duration<double>(sched[i].due)));
     sent[i] = seconds_since(t0);
     daemon->handle_line(sched[i].line);
+    request_busy += seconds_since(t0) - sent[i];
   }
   daemon->drain();
   trace_on(false);
   const DaemonStats after = daemon->stats();
+  // The daemon's own high-water mark, before the replay below allocates.
+  out.e2e["peak_rss_mb"] = peak_rss_mb();
 
   // Exactly one terminal event per request.
   std::map<std::string, std::vector<std::pair<double, std::string>>> results;
@@ -1102,6 +1147,7 @@ void run_serve(const Args& a, int cpus, Report& out) {
   L["engine.queue_wait_s"] = mean(queue);
   L["engine.run_s"] = mean(run);
   L["engine.busy_share"] = sub_wall / (workers * makespan);
+  L["engine.daemon.request_busy_share"] = request_busy / makespan;
   L["engine.daemon.overhead_s"] = mean(overhead);
   L["engine.daemon.late_s"] = mean(late);
   L["engine.daemon.rejected"] =
@@ -1148,6 +1194,7 @@ const char* const kPublicLayers[] = {
     "engine.queue_wait_s",
     "engine.run_s",
     "engine.busy_share",
+    "engine.daemon.request_busy_share",
     "engine.daemon.overhead_s",
     "engine.daemon.late_s",
     "engine.daemon.rejected",
@@ -1211,7 +1258,9 @@ void add_trace_layers(const mftbench::TraceTotals& t, Report& out) {
   L["sizing.wphase.self_s"] = t.self_s[kWphase] / n;
   L["sizing.wphase.calls"] = static_cast<double>(t.calls[kWphase]) / n;
   L["sizing.wphase.sweeps"] = static_cast<double>(t.sweeps) / n;
-  L["sizing.pass.self_s"] = t.self_s[kPass] / n;
+  L["sizing.pass.self_s"] =
+      (t.self_s[kPass] - (out.main_pass_container ? t.pass_main_self_s : 0.0)) /
+      n;
   const double roots = (out.roots_main ? t.root_main_s : 0.0) +
                        (out.roots_workers ? t.root_worker_s : 0.0);
   L["sizing.pass.coverage"] = out.job_wall > 0.0 ? roots / out.job_wall : 0.0;
@@ -1304,9 +1353,9 @@ int main(int argc, char** argv) {
     if (!a.trace_out.empty() && !mftbench::trace_write_chrome(a.trace_out))
       out.fail("could not write " + a.trace_out);
   }
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  out.e2e["peak_rss_mb"] = static_cast<double>(ru.ru_maxrss) / 1024.0;
+  // serve reads it before its untimed replay; the others at exit.
+  if (out.e2e.count("peak_rss_mb") == 0)
+    out.e2e["peak_rss_mb"] = peak_rss_mb();
   const std::int64_t attempted = std::max<std::int64_t>(1, out.attempted);
   const std::int64_t failed = std::min<std::int64_t>(
       attempted, static_cast<std::int64_t>(out.errors.size()));
@@ -1317,14 +1366,19 @@ int main(int argc, char** argv) {
   std::string errors;
   for (std::size_t i = 0; i < out.errors.size() && i < 20; ++i)
     errors += (i ? ",\"" : "\"") + json_escape(out.errors[i]) + "\"";
+  std::string walls;
+  for (const double w : out.unit_walls)
+    walls += strf("%s%.6f", walls.empty() ? "" : ",", w);
   std::printf(
       "{\"workload\":\"%s\",\"seed\":%llu,\"reps\":%d,\"threads\":%d,"
       "\"traced\":%s,\"attempted\":%lld,\"failed\":%lld,"
-      "\"digest\":\"%016llx\",\"errors\":[%s],\"e2e\":%s,\"layer\":%s}\n",
+      "\"digest\":\"%016llx\",\"errors\":[%s],\"unit_walls\":[%s],"
+      "\"e2e\":%s,\"layer\":%s}\n",
       a.workload.c_str(), static_cast<unsigned long long>(a.seed), out.reps,
       cpus, traced ? "true" : "false", static_cast<long long>(attempted),
       static_cast<long long>(failed),
       static_cast<unsigned long long>(out.digest), errors.c_str(),
-      json_object(out.e2e).c_str(), json_object(out.layer).c_str());
+      walls.c_str(), json_object(out.e2e).c_str(),
+      json_object(out.layer).c_str());
   return out.errors.empty() ? 0 : 1;
 }

@@ -3,7 +3,7 @@
 every answer, and prints every metric by name with its unit. The last line
 of stdout is one JSON object: {"correct", "attempted", "failed", "metrics"}.
 
-  python3 perfbench/run.py --workload table1 --seed 1 --seconds 15 --trace 0
+  python3 perfbench/run.py --workload table1 --seed 1 --seconds 17 --trace 0
 
 --trace 0 times the workload with tracing off and reports BENCHMARK.json's
 end-to-end metrics. --trace 1 runs it untraced, then again in the traced

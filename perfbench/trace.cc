@@ -104,6 +104,7 @@ void add(TraceTotals& a, const TraceTotals& b) {
   a.sta_tilos_s += b.sta_tilos_s;
   a.root_main_s += b.root_main_s;
   a.root_worker_s += b.root_worker_s;
+  a.pass_main_self_s += b.pass_main_self_s;
   a.pivots += b.pivots;
   a.builds += b.builds;
   a.delays_recomputed += b.delays_recomputed;
@@ -144,6 +145,7 @@ class Span {
     a.total_s[f.kind] += 1e-9 * static_cast<double>(dur);
     ++a.calls[f.kind];
     ++a.spans;
+    if (f.kind == kPass && t.main) a.pass_main_self_s += self_s;
     if (t.depth > 0) {
       Frame& parent = t.stack[t.depth - 1];
       parent.child += dur;

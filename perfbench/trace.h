@@ -39,6 +39,7 @@ struct TraceTotals {
   /// enclosing span) on the thread that enabled tracing, and on all others.
   double root_main_s = 0.0;
   double root_worker_s = 0.0;
+  double pass_main_self_s = 0.0;  ///< Pipeline::run self time, driver thread
   std::int64_t pivots = 0;             ///< McfWorkspace::ns_pivots per solve
   std::int64_t builds = 0;             ///< problem_builds increments
   std::int64_t delays_recomputed = 0;  ///< TimingScratch counter increments
