@@ -14,12 +14,13 @@
 //                         analogs, tiledLxSxB (see --list-circuits)
 //   --list-circuits       print every built-in circuit name and exit
 //   --bench PATH          read an ISCAS85 .bench file instead
-//   --target-ratio R      delay target as a fraction of Dmin (default 0.6)
+//   --target-ratio R      delay target as a fraction of Dmin, in (0, 2]
+//                         (default 0.6)
 //   --granularity G       gate | transistor (default gate)
 //   --wires               co-size wires (gate granularity only)
 //   --tilos-only          stop after the TILOS baseline
-//   --beta B              D-phase trust bound (default 0.25)
-//   --bumpsize B          TILOS bump factor (default 1.1)
+//   --beta B              D-phase trust bound, > 0 (default 0.25)
+//   --bumpsize B          TILOS bump factor, > 1 (default 1.1)
 //   --sweep               run the full area-delay trade-off curve instead
 //                         of a single target
 //   --ratios R1,R2,...    sweep targets as fractions of Dmin
@@ -69,6 +70,7 @@
 //                         apply prints mode/delay/area and the re-solve
 //                         wall time (warm-start resize, not a fresh solve)
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -132,13 +134,13 @@ const char* option_listing() {
       "  --circuit NAME        built-in circuit (see --list-circuits)\n"
       "  --list-circuits       print every built-in circuit name and exit\n"
       "  --bench PATH          read an ISCAS85 .bench file instead\n"
-      "  --target-ratio R      delay target as a fraction of Dmin (default "
-      "0.6)\n"
+      "  --target-ratio R      delay target as a fraction of Dmin, in (0, 2]\n"
+      "                        (default 0.6)\n"
       "  --granularity G       gate | transistor (default gate)\n"
       "  --wires               co-size wires (gate granularity only)\n"
       "  --tilos-only          stop after the TILOS baseline\n"
-      "  --beta B              D-phase trust bound (default 0.25)\n"
-      "  --bumpsize B          TILOS bump factor (default 1.1)\n"
+      "  --beta B              D-phase trust bound, > 0 (default 0.25)\n"
+      "  --bumpsize B          TILOS bump factor, > 1 (default 1.1)\n"
       "  --sweep               run the full area-delay trade-off curve\n"
       "  --ratios R1,R2,...    sweep targets as fractions of Dmin\n"
       "  --threads N           engine worker threads (default: hardware)\n"
@@ -240,16 +242,31 @@ Args parse(int argc, char** argv) {
     if (i + 1 >= argc) usage("missing value");
     return argv[++i];
   };
+  // The flag's value as a whole-string double that `ok` accepts, else the
+  // usage error.
+  auto real = [&](int& i, const std::string& f, auto ok) {
+    const char* s = value(i);
+    char* end = nullptr;
+    const double v = std::strtod(s, &end);
+    if (end == s || *end != '\0' || !ok(v))
+      usage(("bad " + f + " value '" + std::string(s) + "'").c_str());
+    return v;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string f = argv[i];
     if (f == "--circuit") a.circuit = value(i);
     else if (f == "--bench") a.bench_path = value(i);
-    else if (f == "--target-ratio") a.target_ratio = std::atof(value(i));
+    else if (f == "--target-ratio")
+      a.target_ratio =
+          real(i, f, [](double v) { return v > 0.0 && v <= 2.0; });
     else if (f == "--granularity") a.granularity = value(i);
     else if (f == "--wires") a.wires = true;
     else if (f == "--tilos-only") a.tilos_only = true;
-    else if (f == "--beta") a.beta = std::atof(value(i));
-    else if (f == "--bumpsize") a.bumpsize = std::atof(value(i));
+    else if (f == "--beta")
+      a.beta = real(i, f, [](double v) { return v > 0.0 && std::isfinite(v); });
+    else if (f == "--bumpsize")
+      a.bumpsize =
+          real(i, f, [](double v) { return v > 1.0 && std::isfinite(v); });
     else if (f == "--sweep") a.sweep = true;
     else if (f == "--ratios") a.sweep_ratios = parse_ratio_list(value(i));
     else if (f == "--threads" || f == "--inner-threads" || f == "--shards" ||
@@ -264,14 +281,9 @@ Args parse(int argc, char** argv) {
        : f == "--shards"        ? a.shards
                                 : a.context_cache) = static_cast<int>(v);
     }
-    else if (f == "--deadline" || f == "--cancel-after") {
-      const char* s = value(i);
-      char* end = nullptr;
-      const double v = std::strtod(s, &end);
-      if (end == s || *end != '\0' || v < 0.0)
-        usage(("bad " + f + " value '" + std::string(s) + "'").c_str());
-      (f == "--deadline" ? a.deadline : a.cancel_after) = v;
-    }
+    else if (f == "--deadline" || f == "--cancel-after")
+      (f == "--deadline" ? a.deadline : a.cancel_after) =
+          real(i, f, [](double v) { return v >= 0.0; });
     else if (f == "--priority") {
       const char* s = value(i);
       char* end = nullptr;
@@ -294,8 +306,6 @@ Args parse(int argc, char** argv) {
     else if (f == "--histogram") a.histogram = true;
     else usage(("unknown flag " + f).c_str());
   }
-  if (a.target_ratio <= 0.0 || a.target_ratio > 2.0)
-    usage("--target-ratio out of (0, 2]");
   if (a.granularity != "gate" && a.granularity != "transistor")
     usage("--granularity must be gate or transistor");
   if (a.wires && a.granularity != "gate")

@@ -34,21 +34,25 @@ TilosResult run_tilos(const SizingNetwork& net, double target_delay,
 
   // All per-bump state is kept in sweep-position order so the candidate
   // evaluation streams the plan's flat reverse-load CSR: sizes_pos mirrors
-  // res.sizes (one extra write per bump), on_path marks positions.
+  // res.sizes (one extra write per bump), on_path marks the positions of
+  // `path`, the current critical path.
   std::vector<double> sizes_pos;
   pl.gather(res.sizes, sizes_pos);
   std::vector<char> on_path(static_cast<std::size_t>(net.num_vertices()), 0);
-  // One vertex is bumped per iteration: handing that vertex to the
-  // changed-hint overload makes the per-iteration delay recompute
-  // O(its loaders) with no size scan; the sweeps stay O(V+E).
+  std::vector<NodeId> path;
+  // The first STA is a full run_sta (arena-parallel when given one). After
+  // that one vertex is bumped per iteration and TILOS reads only delays,
+  // ATs and the critical path, so each bump takes the arrival-only update:
+  // O(loaders of the bumped vertex) delay recompute, then one AT fold from
+  // the first re-delayed position to the end.
   TimingScratch sta;
   sta.arena = arena;
   sta.fast_math = opt.fast_math;
   std::vector<NodeId> bumped;
   while (true) {
-    const TimingReport& timing = bumped.empty()
-                                     ? run_sta(net, res.sizes, sta)
-                                     : run_sta(net, res.sizes, sta, bumped);
+    const TimingReport& timing =
+        bumped.empty() ? run_sta(net, res.sizes, sta)
+                       : run_arrivals(net, res.sizes, sta, bumped);
     res.achieved_delay = timing.critical_path;
     if (timing.critical_path <= target_delay) {
       res.met_target = true;
@@ -57,8 +61,10 @@ TilosResult run_tilos(const SizingNetwork& net, double target_delay,
     if (res.bumps >= max_bumps) break;
     if (abort != nullptr && abort->step()) break;
 
-    const std::vector<NodeId> path = timing.critical_vertices(net);
-    std::fill(on_path.begin(), on_path.end(), 0);
+    for (NodeId v : path)
+      on_path[static_cast<std::size_t>(
+          pl.pos_of[static_cast<std::size_t>(v)])] = 0;
+    path = timing.critical_vertices(net);
     for (NodeId v : path)
       on_path[static_cast<std::size_t>(
           pl.pos_of[static_cast<std::size_t>(v)])] = 1;

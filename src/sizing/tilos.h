@@ -43,11 +43,11 @@ class ThreadArena;
 /// Critical-path delay of the minimum-sized circuit (the paper's Dmin).
 double min_sized_delay(const SizingNetwork& net);
 
-/// `arena` (optional, multi-thread) parallelizes the per-iteration STA
-/// sweeps; results are bit-identical at any thread count. The per-iteration
-/// delay recompute itself is O(loaders-of-one-vertex): each bump passes the
-/// bumped vertex to run_sta's changed-hint overload instead of letting it
-/// rediscover the change by scanning all sizes.
+/// `arena` (optional, multi-thread) parallelizes only the first, full STA;
+/// results are bit-identical at any thread count. Each bump then passes the
+/// bumped vertex to run_arrivals: a delay recompute over its loaders (no
+/// size scan) and a sequential AT fold from the first re-delayed sweep
+/// position to the end, with no RT sweep or slack.
 ///
 /// `abort` (optional) is checked once per bump; when it trips the loop
 /// stops with the best-so-far sizes and met_target reflecting the last STA.

@@ -44,30 +44,39 @@ void full_delay_pos(const SweepPlan& pl, const std::vector<double>& sizes_pos,
     body(0, 0, pl.n);
 }
 
-// Forward/backward sweeps over already-computed per-vertex delays, in
-// sweep-position order (a valid topological order — SweepPlan). Shared by
-// the full and incremental paths so both produce identical reports.
+// Forward sweep in sweep-position order (a valid topological order —
+// SweepPlan) from position `start` to the end: AT(v) = max over fanin j of
+// AT(j) + delay(j), 0 at sources. cp_prefix[p] records the position of the
+// CP argmax over positions [0, p], so a later fold can resume at any
+// `start` whose earlier positions are settled (their delays unchanged since
+// the fold that wrote cp_prefix). Shared by every sequential path so the
+// full, incremental and arrival-only reports cannot drift apart.
 //
-// Bit-identity to the historical id-space topological walk: every fanin/
-// fanout fold reads only strictly earlier/later levels (fully settled in
-// either walk order) and folds the vertex's own arc list in its original
-// stored order; the cp winner "first in topological order attaining the
-// max" is equivalently "max end, lowest topological position on exact
-// ties", which is the explicit rule used here and by the parallel merge.
-void run_sweeps_sequential(const SweepPlan& pl,
-                           const std::vector<double>& delay_pos,
-                           std::vector<double>& at_pos,
-                           std::vector<double>& rt_pos, double& critical_path,
-                           NodeId& cp_vertex) {
+// Bit-identity to the historical id-space topological walk: every fanin
+// fold reads only strictly earlier levels (fully settled in either walk
+// order) and folds the vertex's own arc list in its original stored order;
+// the cp winner "first in topological order attaining the max" is
+// equivalently "max end, lowest topological position on exact ties", which
+// is the explicit rule used here and by the parallel merge. A resumed fold
+// re-derives the prefix winner's end from the same operands, so it carries
+// on with exactly the value a fold from 0 would hold at `start`.
+void forward_fold(const SweepPlan& pl, const std::vector<double>& delay_pos,
+                  int start, std::vector<double>& at_pos,
+                  std::vector<int>& cp_prefix, double& critical_path,
+                  NodeId& cp_vertex) {
   const int n = pl.n;
   at_pos.resize(static_cast<std::size_t>(n));
-  rt_pos.resize(static_cast<std::size_t>(n));
-
-  // Forward: AT(v) = max over fanin j of AT(j) + delay(j); 0 at sources.
+  cp_prefix.resize(static_cast<std::size_t>(n));
   critical_path = 0.0;
-  cp_vertex = kInvalidNode;
+  int cp_pos = -1;
   int cp_tp = INT_MAX;
-  for (int p = 0; p < n; ++p) {
+  if (start > 0) {
+    cp_pos = cp_prefix[static_cast<std::size_t>(start) - 1];
+    const std::size_t ci = static_cast<std::size_t>(cp_pos);
+    critical_path = at_pos[ci] + delay_pos[ci];
+    cp_tp = pl.topo_pos[ci];
+  }
+  for (int p = start; p < n; ++p) {
     const std::size_t pi = static_cast<std::size_t>(p);
     double at = 0.0;
     for (int k = pl.fanin_off[pi]; k < pl.fanin_off[pi + 1]; ++k) {
@@ -78,13 +87,30 @@ void run_sweeps_sequential(const SweepPlan& pl,
     at_pos[pi] = at;
     const double end = at + delay_pos[pi];
     const int tp = pl.topo_pos[pi];
-    if (cp_vertex == kInvalidNode || end > critical_path ||
+    if (cp_pos < 0 || end > critical_path ||
         (end == critical_path && tp < cp_tp)) {
       critical_path = end;
-      cp_vertex = pl.vid[pi];
+      cp_pos = p;
       cp_tp = tp;
     }
+    cp_prefix[pi] = cp_pos;
   }
+  cp_vertex =
+      cp_pos < 0 ? kInvalidNode : pl.vid[static_cast<std::size_t>(cp_pos)];
+}
+
+// Full forward/backward sweeps over already-computed per-vertex delays.
+// Shared by the full and incremental paths so both produce identical
+// reports; the backward fanout folds read only strictly later levels.
+void run_sweeps_sequential(const SweepPlan& pl,
+                           const std::vector<double>& delay_pos,
+                           std::vector<double>& at_pos,
+                           std::vector<double>& rt_pos,
+                           std::vector<int>& cp_prefix, double& critical_path,
+                           NodeId& cp_vertex) {
+  const int n = pl.n;
+  forward_fold(pl, delay_pos, 0, at_pos, cp_prefix, critical_path, cp_vertex);
+  rt_pos.resize(static_cast<std::size_t>(n));
 
   // Backward: RT(v) = CP − delay(v) at POs, min over fanouts elsewhere.
   for (int p = n - 1; p >= 0; --p) {
@@ -104,6 +130,7 @@ void run_sweeps_sequential(const SweepPlan& pl,
 // sequential ones verbatim, run concurrently one level at a time. The cp
 // argmax is reduced per thread and merged by (max end, lowest topological
 // position on exact ties) — the same rule as the sequential sweep above.
+// No cp prefix is kept, so an arrival-only fold after this one starts at 0.
 void run_sweeps_parallel(const SweepPlan& pl,
                          const std::vector<int>& level_off,
                          const std::vector<double>& delay_pos,
@@ -175,17 +202,6 @@ void run_sweeps_parallel(const SweepPlan& pl,
   }
 }
 
-void run_sweeps(const SizingNetwork& net, const std::vector<double>& delay_pos,
-                std::vector<double>& at_pos, std::vector<double>& rt_pos,
-                double& critical_path, NodeId& cp_vertex, ThreadArena* arena) {
-  if (multi_thread(arena))
-    run_sweeps_parallel(net.plan(), net.level_offsets(), delay_pos, at_pos,
-                        rt_pos, critical_path, cp_vertex, *arena);
-  else
-    run_sweeps_sequential(net.plan(), delay_pos, at_pos, rt_pos, critical_path,
-                          cp_vertex);
-}
-
 // Translate the position-space working set into the id-indexed public
 // report: linear writes over the four report arrays, gathered reads from
 // the position arrays.
@@ -206,16 +222,17 @@ void export_report(const SweepPlan& pl, const std::vector<double>& delay_pos,
   }
 }
 
-// Shared incremental driver; `changed` selects the hinted or scanning path.
-const TimingReport& run_sta_incremental(const SizingNetwork& net,
-                                        const std::vector<double>& sizes,
-                                        TimingScratch& scratch,
-                                        const std::vector<NodeId>* changed) {
+// Brings scratch.delay_pos up to date with `sizes`; `changed` selects the
+// hinted or scanning path. Returns the first sweep position whose delay was
+// recomputed (0 after a full recompute, n when nothing changed): no delay
+// before it and no AT up to it can have moved.
+int update_delays(const SizingNetwork& net, const std::vector<double>& sizes,
+                  TimingScratch& scratch, const std::vector<NodeId>* changed) {
   MFT_CHECK(net.frozen());
   MFT_CHECK(static_cast<int>(sizes.size()) == net.num_vertices());
   const std::size_t n = static_cast<std::size_t>(net.num_vertices());
   const SweepPlan& pl = net.plan();
-  TimingReport& r = scratch.report;
+  int first = 0;
 
   if (!scratch.valid || scratch.net_serial != net.serial() ||
       scratch.fast_math != scratch.last_fast_math) {
@@ -238,11 +255,13 @@ const TimingReport& run_sta_incremental(const SizingNetwork& net,
     // as sweep positions.
     auto& dirty = scratch.dirty;
     dirty.clear();
+    first = pl.n;
     auto mark = [&](int p) {
       const std::size_t i = static_cast<std::size_t>(p);
       if (!scratch.is_dirty[i]) {
         scratch.is_dirty[i] = 1;
         dirty.push_back(p);
+        first = std::min(first, p);
       }
     };
     auto mark_changed = [&](NodeId v) {
@@ -303,9 +322,28 @@ const TimingReport& run_sta_incremental(const SizingNetwork& net,
     ++scratch.incremental_runs;
     scratch.delays_recomputed += static_cast<std::int64_t>(dirty.size());
   }
+  return first;
+}
 
-  run_sweeps(net, scratch.delay_pos, scratch.at_pos, scratch.rt_pos,
-             r.critical_path, r.cp_vertex, scratch.arena);
+// Shared body of the scratch overloads of run_sta: delays, then full
+// sweeps and export. Only the sequential sweep leaves a cp prefix that a
+// later arrival-only fold can resume from.
+const TimingReport& run_sta_incremental(const SizingNetwork& net,
+                                        const std::vector<double>& sizes,
+                                        TimingScratch& scratch,
+                                        const std::vector<NodeId>* changed) {
+  update_delays(net, sizes, scratch, changed);
+  const SweepPlan& pl = net.plan();
+  TimingReport& r = scratch.report;
+  scratch.cp_prefix_valid = !multi_thread(scratch.arena);
+  if (scratch.cp_prefix_valid)
+    run_sweeps_sequential(pl, scratch.delay_pos, scratch.at_pos,
+                          scratch.rt_pos, scratch.cp_prefix, r.critical_path,
+                          r.cp_vertex);
+  else
+    run_sweeps_parallel(pl, net.level_offsets(), scratch.delay_pos,
+                        scratch.at_pos, scratch.rt_pos, r.critical_path,
+                        r.cp_vertex, *scratch.arena);
   export_report(pl, scratch.delay_pos, scratch.at_pos, scratch.rt_pos, r);
   return r;
 }
@@ -317,10 +355,11 @@ TimingReport run_sta(const SizingNetwork& net, const std::vector<double>& sizes)
   const SweepPlan& pl = net.plan();
   TimingReport r;
   std::vector<double> sizes_pos, delay_pos, at_pos, rt_pos;
+  std::vector<int> cp_prefix;
   pl.gather(sizes, sizes_pos);
   full_delay_pos(pl, sizes_pos, delay_pos, nullptr, /*fast=*/false);
-  run_sweeps_sequential(pl, delay_pos, at_pos, rt_pos, r.critical_path,
-                        r.cp_vertex);
+  run_sweeps_sequential(pl, delay_pos, at_pos, rt_pos, cp_prefix,
+                        r.critical_path, r.cp_vertex);
   export_report(pl, delay_pos, at_pos, rt_pos, r);
   return r;
 }
@@ -338,7 +377,36 @@ const TimingReport& run_sta(const SizingNetwork& net,
   return run_sta_incremental(net, sizes, scratch, &changed);
 }
 
+const TimingReport& run_arrivals(const SizingNetwork& net,
+                                 const std::vector<double>& sizes,
+                                 TimingScratch& scratch,
+                                 const std::vector<NodeId>& changed) {
+  const int dirty_from = update_delays(net, sizes, scratch, &changed);
+  const int start = scratch.cp_prefix_valid ? dirty_from : 0;
+  const SweepPlan& pl = net.plan();
+  TimingReport& r = scratch.report;
+  forward_fold(pl, scratch.delay_pos, start, scratch.at_pos, scratch.cp_prefix,
+               r.critical_path, r.cp_vertex);
+  scratch.cp_prefix_valid = true;
+  // Export the re-folded suffix only: the report already holds every
+  // earlier position's delay and AT, which this run cannot have moved.
+  const std::size_t n = static_cast<std::size_t>(pl.n);
+  r.delay.resize(n);
+  r.at.resize(n);
+  r.rt.clear();
+  r.slack.clear();
+  for (std::size_t p = static_cast<std::size_t>(start); p < n; ++p) {
+    const std::size_t v = static_cast<std::size_t>(pl.vid[p]);
+    r.delay[v] = scratch.delay_pos[p];
+    r.at[v] = scratch.at_pos[p];
+  }
+  return r;
+}
+
 double TimingReport::edge_slack(const SizingNetwork& net, ArcId a) const {
+  MFT_CHECK_MSG(rt.size() == at.size(),
+                "edge_slack needs required times; an arrival-only report "
+                "has none");
   const Digraph& g = net.dag();
   const NodeId i = g.tail(a);
   const NodeId j = g.head(a);
@@ -390,6 +458,8 @@ std::vector<NodeId> TimingReport::critical_vertices(
 }
 
 bool TimingReport::safe(const SizingNetwork& net, double tol) const {
+  MFT_CHECK_MSG(slack.size() == at.size(),
+                "safe() needs slacks; an arrival-only report has none");
   for (NodeId v = 0; v < net.num_vertices(); ++v)
     if (slack[static_cast<std::size_t>(v)] < -tol) return false;
   for (ArcId a = 0; a < net.dag().num_arcs(); ++a)

@@ -11,27 +11,41 @@
 //    O(n) scan against the remembered sizes.
 //  - run_sta(net, sizes, scratch, changed): same, but the caller names the
 //    resized vertices up front and the O(n) scan is skipped — the right
-//    form for callers that know their own update (TILOS bumps one vertex
-//    per iteration; the D-phase times the last accepted W-phase move).
+//    form for callers that know their own update (the D-phase times the
+//    last accepted W-phase move).
 //    `changed` must be a superset of the truly-resized vertices (extra or
 //    duplicate entries cost nothing); an incomplete hint is corruption and
 //    is caught by a full cross-check in debug builds.
-// All paths produce bit-identical reports; the tier-1 suite asserts the
-// equivalences on randomized size updates.
+//  - run_arrivals(net, sizes, scratch, changed): arrival-only, for callers
+//    that read only delays, ATs and the critical path (TILOS bumps). Same
+//    hint contract and delay recompute as above, then the AT fold resumes
+//    at the first sweep position whose delay changed (earlier positions
+//    cannot move), keeping the CP endpoint as a prefix argmax. No RT sweep,
+//    no slack, and only that suffix is written back to the report.
+// All paths produce bit-identical delays, ATs and critical paths; the
+// tier-1 suite asserts the equivalences on randomized size updates.
+//
+// An arrival-only report holds `delay`, `at`, `critical_path` and
+// `cp_vertex`, all current, and leaves `rt` and `slack` empty (never
+// stale): edge_slack() and safe() refuse it with MFT_CHECK, and the next
+// run_sta on the same scratch rebuilds all four arrays.
 //
 // Layout: the kernels never walk SizingVertex records. All hot state lives
 // in sweep-position order (SizingNetwork::plan()): the delay recompute and
 // the AT/RT sweeps stream the plan's SoA/CSR arrays level-contiguously,
-// and one final pass exports the id-indexed TimingReport. Values are
+// and one final pass exports the id-indexed TimingReport (run_arrivals:
+// only the re-folded suffix). Values are
 // bit-identical to the historical id-order walks (term order per vertex is
 // preserved; max/min folds are exact under reordering).
 //
 // Parallelism: when scratch.arena points at a multi-thread ThreadArena,
-// the delay recompute runs partitioned over the dirty set and the AT/RT
-// sweeps run level-parallel over the same position arrays — still
+// the delay recompute runs partitioned over the dirty set and run_sta's
+// AT/RT sweeps run level-parallel over the same position arrays — still
 // bit-identical to the sequential sweeps (per-vertex arithmetic is
 // unchanged; the cp argmax is merged max-end-first, lowest-topological-
-// position-on-ties, exactly the sequential rule).
+// position-on-ties, exactly the sequential rule). The arrival-only fold is
+// always sequential; a level-parallel sweep keeps no cp prefix, so the
+// arrival run after one folds from position 0.
 //
 // Fast math: scratch.fast_math opts into FP-reassociated load folds
 // (SweepPlan::delay_at_fast) for the delay recompute. Off by default;
@@ -60,7 +74,8 @@ struct TimingReport {
   /// vertex in topological order attaining the max — deterministic).
   NodeId cp_vertex = kInvalidNode;
 
-  /// Edge slack esl(e_ij) = RT(j) − AT(i) − delay(i)  (eq. (8)).
+  /// Edge slack esl(e_ij) = RT(j) − AT(i) − delay(i)  (eq. (8)). Needs RT:
+  /// fails with MFT_CHECK on an arrival-only report.
   double edge_slack(const SizingNetwork& net, ArcId a) const;
 
   /// Vertices on the critical path, source→sink order. Deterministic: ends
@@ -69,6 +84,7 @@ struct TimingReport {
   std::vector<NodeId> critical_vertices(const SizingNetwork& net) const;
 
   /// "Safe" per the paper: all vertex slacks and edge slacks >= -tol.
+  /// Fails with MFT_CHECK on an arrival-only report.
   bool safe(const SizingNetwork& net, double tol = 1e-9) const;
 };
 
@@ -84,6 +100,11 @@ struct TimingScratch {
   std::vector<double> delay_pos;
   std::vector<double> at_pos;
   std::vector<double> rt_pos;
+  /// cp_prefix[p]: position of the CP argmax over positions [0, p], written
+  /// by every sequential forward fold; run_arrivals resumes from it.
+  std::vector<int> cp_prefix;
+  /// False after a level-parallel sweep (which keeps no prefix).
+  bool cp_prefix_valid = false;
   std::vector<int> dirty;          ///< scratch: positions to re-delay
   std::vector<char> is_dirty;      ///< scratch: dedup mask for `dirty`
   bool valid = false;              ///< false until the first (full) run
@@ -138,5 +159,15 @@ const TimingReport& run_sta(const SizingNetwork& net,
                             const std::vector<double>& sizes,
                             TimingScratch& scratch,
                             const std::vector<NodeId>& changed);
+
+/// Arrival-only incremental update with the same hint contract: re-delays
+/// the changed vertices and their reverse loads, then re-folds AT from the
+/// first changed sweep position to the end. Returns scratch.report holding
+/// current `delay`, `at`, `critical_path` and `cp_vertex`, bit-identical to
+/// run_sta's, with `rt` and `slack` empty (see the header comment).
+const TimingReport& run_arrivals(const SizingNetwork& net,
+                                 const std::vector<double>& sizes,
+                                 TimingScratch& scratch,
+                                 const std::vector<NodeId>& changed);
 
 }  // namespace mft

@@ -11,9 +11,11 @@
 //    including the changed-hint incremental path) match the sequential
 //    results bit for bit.
 //  - Hints and warm starts: the changed-hint STA path agrees with the
-//    scanning path under randomized updates; warm-started W-phase matches
-//    cold on triangular networks and converges to the same fixpoint on
-//    coupled ones.
+//    scanning path under randomized updates, and the arrival-only path
+//    with full STA, interleaved with full and parallel runs on one scratch,
+//    across a fast-math flip and a network switch; warm-started W-phase
+//    matches cold on triangular networks and converges to the same
+//    fixpoint on coupled ones.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -258,7 +260,27 @@ TEST(ParallelSta, BitIdenticalToSequentialAcrossThreadCounts) {
   }
 }
 
+// Everything an arrival-only report carries: delay, at, the critical path
+// and its walk.
+void expect_arrivals_identical(const SizingNetwork& net,
+                               const TimingReport& full,
+                               const TimingReport& got) {
+  ASSERT_EQ(full.delay.size(), got.delay.size());
+  ASSERT_EQ(full.at.size(), got.at.size());
+  for (std::size_t i = 0; i < full.delay.size(); ++i) {
+    EXPECT_EQ(full.delay[i], got.delay[i]) << "delay " << i;
+    EXPECT_EQ(full.at[i], got.at[i]) << "at " << i;
+  }
+  EXPECT_EQ(full.critical_path, got.critical_path);
+  EXPECT_EQ(full.cp_vertex, got.cp_vertex);
+  EXPECT_EQ(full.critical_vertices(net), got.critical_vertices(net));
+}
+
 TEST(ParallelSta, HintedIncrementalMatchesScanAndFullAcrossThreadCounts) {
+  // A second network for the arrival scratch to switch to and back from.
+  const LoweredCircuit other = lower_gate_level(make_c17(), Tech{});
+  const std::vector<double> other_sizes = other.net.min_sizes();
+  const std::vector<NodeId> none;
   for (const NamedNet& t : identity_corpus()) {
     SCOPED_TRACE(t.name);
     const SizingNetwork& net = t.lc.net;
@@ -268,17 +290,30 @@ TEST(ParallelSta, HintedIncrementalMatchesScanAndFullAcrossThreadCounts) {
       TimingScratch hinted;
       hinted.arena = threads > 1 ? &arena : nullptr;
       TimingScratch scanned;
+      // Arrival-only runs interleaved with run_sta on one scratch: full
+      // sequential sweeps at 1 thread, level-parallel ones above.
+      TimingScratch arrivals;
+      arrivals.arena = hinted.arena;
       Rng rng(0xabcu + static_cast<std::uint64_t>(threads));
+      auto random_vertex = [&] {
+        NodeId v;
+        do {
+          v = static_cast<NodeId>(
+              rng.index(static_cast<std::size_t>(net.num_vertices())));
+        } while (net.is_source(v));
+        return v;
+      };
       std::vector<double> x = net.min_sizes();
       run_sta(net, x, hinted);
       run_sta(net, x, scanned);
-      for (int step = 0; step < 10; ++step) {
+      run_sta(net, x, arrivals);
+      for (int step = 0; step < 16; ++step) {
+        // Even steps resize one vertex (a TILOS bump), odd steps several.
         std::vector<NodeId> changed;
-        const int moves = 1 + static_cast<int>(rng.index(4));
+        const int moves =
+            step % 2 == 0 ? 1 : 2 + static_cast<int>(rng.index(3));
         for (int m = 0; m < moves; ++m) {
-          const NodeId v = static_cast<NodeId>(
-              rng.index(static_cast<std::size_t>(net.num_vertices())));
-          if (net.is_source(v)) continue;
+          const NodeId v = random_vertex();
           x[static_cast<std::size_t>(v)] *= rng.uniform(1.01, 1.5);
           changed.push_back(v);
         }
@@ -286,12 +321,44 @@ TEST(ParallelSta, HintedIncrementalMatchesScanAndFullAcrossThreadCounts) {
         const std::vector<NodeId> once = changed;
         changed.insert(changed.end(), once.begin(), once.end());
         changed.push_back(0);
+        const TimingReport full = run_sta(net, x);
         const TimingReport& h = run_sta(net, x, hinted, changed);
         expect_reports_identical(run_sta(net, x, scanned), h);
-        expect_reports_identical(run_sta(net, x), h);
+        expect_reports_identical(full, h);
+        if (step % 5 == 4) {
+          expect_reports_identical(full, run_sta(net, x, arrivals, changed));
+        } else {
+          const TimingReport& a = run_arrivals(net, x, arrivals, changed);
+          expect_arrivals_identical(net, full, a);
+          EXPECT_TRUE(a.rt.empty());
+          EXPECT_TRUE(a.slack.empty());
+        }
       }
-      EXPECT_EQ(hinted.hinted_runs, 10);
+      EXPECT_EQ(hinted.hinted_runs, 16);
       EXPECT_EQ(scanned.hinted_runs, 0);
+
+      // Fast-math flip: the arrival path re-delays with delay_at_fast just
+      // as the hinted run_sta does, and flipping back is exact again.
+      TimingScratch fast;
+      fast.fast_math = true;
+      run_sta(net, x, fast);
+      arrivals.fast_math = true;
+      for (int bump = 0; bump < 3; ++bump) {
+        const NodeId v = random_vertex();
+        x[static_cast<std::size_t>(v)] *= 1.1;
+        expect_arrivals_identical(net, run_sta(net, x, fast, {v}),
+                                  run_arrivals(net, x, arrivals, {v}));
+      }
+      arrivals.fast_math = false;
+      expect_arrivals_identical(net, run_sta(net, x),
+                                run_arrivals(net, x, arrivals, none));
+
+      // Switching networks and back refolds each one from scratch.
+      expect_arrivals_identical(other.net, run_sta(other.net, other_sizes),
+                                run_arrivals(other.net, other_sizes, arrivals,
+                                             none));
+      expect_arrivals_identical(net, run_sta(net, x),
+                                run_arrivals(net, x, arrivals, none));
     }
   }
 }

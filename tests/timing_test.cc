@@ -8,6 +8,7 @@
 #include "timing/delay_balance.h"
 #include "timing/lowering.h"
 #include "timing/sta.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace mft {
@@ -76,6 +77,78 @@ TEST(Sta, DiamondHandExample) {
   EXPECT_EQ(path[1], a);
   EXPECT_EQ(path[2], b);
   EXPECT_EQ(path[3], d);
+}
+
+TEST(Sta, ArrivalOnlyReportHasNoRequiredTimes) {
+  const LoweredCircuit lc = lower_gate_level(make_alu(8), Tech{});
+  const SizingNetwork& net = lc.net;
+  std::vector<double> x = net.min_sizes();
+  TimingScratch scratch;
+  run_sta(net, x, scratch);
+  NodeId v = 0;
+  while (net.is_source(v)) ++v;
+  x[static_cast<std::size_t>(v)] *= 2.0;
+  const TimingReport full = run_sta(net, x);
+
+  // Arrivals current, required times and slacks empty rather than stale.
+  const TimingReport& a = run_arrivals(net, x, scratch, {v});
+  EXPECT_EQ(a.delay, full.delay);
+  EXPECT_EQ(a.at, full.at);
+  EXPECT_EQ(a.critical_path, full.critical_path);
+  EXPECT_EQ(a.cp_vertex, full.cp_vertex);
+  EXPECT_TRUE(a.rt.empty());
+  EXPECT_TRUE(a.slack.empty());
+
+  // Slack queries refuse it.
+  EXPECT_THROW(a.safe(net), CheckError);
+  EXPECT_THROW(a.edge_slack(net, 0), CheckError);
+
+  // The next run_sta on the same scratch rebuilds all four arrays.
+  const TimingReport& r = run_sta(net, x, scratch);
+  EXPECT_EQ(r.delay, full.delay);
+  EXPECT_EQ(r.at, full.at);
+  EXPECT_EQ(r.rt, full.rt);
+  EXPECT_EQ(r.slack, full.slack);
+  EXPECT_TRUE(r.safe(net));
+  EXPECT_EQ(r.edge_slack(net, 0), full.edge_slack(net, 0));
+}
+
+TEST(Sta, ArrivalFoldKeepsACriticalEndpointBeforeTheChange) {
+  // A shallow slow path PI -> S(10) and a deep fast one PI -> F1 -> F2 ->
+  // F3 (1 each). S ends the critical path at an earlier sweep position than
+  // F3, so resizing F3 resumes the fold past the endpoint: it must carry
+  // over from the prefix argmax, also after a level-parallel run_sta that
+  // kept no prefix.
+  FixedDelayNet f;
+  const NodeId pi = f.source("pi");
+  const NodeId s = f.vertex("S", 10, /*po=*/true);
+  const NodeId f1 = f.vertex("F1", 1);
+  const NodeId f2 = f.vertex("F2", 1);
+  const NodeId f3 = f.vertex("F3", 1, /*po=*/true);
+  f.net.add_arc(pi, s);
+  f.net.add_arc(pi, f1);
+  f.net.add_arc(f1, f2);
+  f.net.add_arc(f2, f3);
+  f.net.freeze();
+  const std::vector<double> x0 = f.unit_sizes();
+  std::vector<double> x = x0;
+  x[static_cast<std::size_t>(f3)] = 2.0;
+  const TimingReport full = run_sta(f.net, x);
+  ASSERT_EQ(full.cp_vertex, s);
+
+  ThreadArena arena(2);
+  for (ThreadArena* a : {static_cast<ThreadArena*>(nullptr), &arena}) {
+    SCOPED_TRACE(a == nullptr ? "sequential" : "level-parallel");
+    TimingScratch scratch;
+    scratch.arena = a;
+    run_sta(f.net, x0, scratch);
+    const TimingReport& r = run_arrivals(f.net, x, scratch, {f3});
+    EXPECT_EQ(r.delay, full.delay);
+    EXPECT_EQ(r.at, full.at);
+    EXPECT_EQ(r.critical_path, 10.0);
+    EXPECT_EQ(r.cp_vertex, s);
+    EXPECT_EQ(r.critical_vertices(f.net), full.critical_vertices(f.net));
+  }
 }
 
 TEST(DelayBalance, AsapAndAlapAreBalancedAndDisplaced) {
