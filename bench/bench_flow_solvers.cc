@@ -7,9 +7,15 @@
 //  2. Generated layered min-cost-flow instances of growing size (deep,
 //     chain-heavy networks shaped like circuit DAG duals), solved directly
 //     with the network simplex. This is the hot-path scaling curve; the
-//     largest instance is the PR-over-PR perf gate.
+//     largest instance is the change-over-change perf gate.
+//
+// The layered instances are also the pivot-sequence gate: their pivot
+// counts are host-independent integers, pinned below, and any change to
+// the pricing rule, the leaving-arc rule or the start basis moves them.
+// The bench exits 1 when one differs.
 //
 // Results go to stdout and to BENCH_flow_solvers.json (see BenchJson).
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -152,15 +158,17 @@ int main() {
   struct Shape {
     const char* name;
     int layers, width, extra;
+    std::int64_t pivots;  ///< the pinned pivot count
   };
   const std::vector<Shape> shapes = {
-      {"layered_2k", 100, 20, 2},
-      {"layered_12k", 600, 20, 2},
-      {"layered_50k", 2500, 20, 2},
+      {"layered_2k", 100, 20, 2, 3286},
+      {"layered_12k", 600, 20, 2, 20678},
+      {"layered_50k", 2500, 20, 2, 89757},
   };
-  std::printf("\n%-34s %12s %10s %10s %16s\n", "benchmark", "wall (ms)",
-              "nodes", "arcs", "cost");
+  std::printf("\n%-34s %12s %10s %10s %16s %10s %10s\n", "benchmark",
+              "wall (ms)", "nodes", "arcs", "cost", "pivots", "ns/pivot");
   McfWorkspace ws;
+  bool pivots_ok = true;
   for (const Shape& s : shapes) {
     const McfProblem p = make_layered(/*seed=*/42, s.layers, s.width, s.extra);
     McfSolution sol;
@@ -170,15 +178,24 @@ int main() {
     });
     MFT_CHECK(sol.status == McfStatus::kOptimal);
     const std::string bname = std::string("ns/") + s.name;
-    std::printf("%-34s %12.3f %10d %10d %16lld\n", bname.c_str(), secs * 1e3,
-                p.num_nodes(), p.num_arcs(),
-                static_cast<long long>(sol.total_cost));
+    const double ns_per_pivot = secs * 1e9 / static_cast<double>(ws.ns_pivots);
+    std::printf("%-34s %12.3f %10d %10d %16lld %10lld %10.0f\n", bname.c_str(),
+                secs * 1e3, p.num_nodes(), p.num_arcs(),
+                static_cast<long long>(sol.total_cost),
+                static_cast<long long>(ws.ns_pivots), ns_per_pivot);
     std::fflush(stdout);
     json.add(bname, secs,
              {{"nodes", static_cast<double>(p.num_nodes())},
               {"arcs", static_cast<double>(p.num_arcs())},
               {"pivots", static_cast<double>(ws.ns_pivots)},
+              {"ns_per_pivot", ns_per_pivot},
               {"cost", static_cast<double>(sol.total_cost)}});
+    if (ws.ns_pivots != s.pivots) {
+      std::fprintf(stderr, "FAIL: %s took %lld pivots, pinned %lld\n",
+                   bname.c_str(), static_cast<long long>(ws.ns_pivots),
+                   static_cast<long long>(s.pivots));
+      pivots_ok = false;
+    }
     // Cross-check the small instance against SSP.
     if (p.num_nodes() <= 5000) {
       const McfSolution ref = solve_ssp(p);
@@ -189,5 +206,5 @@ int main() {
 
   if (!json.write("BENCH_flow_solvers.json"))
     std::fprintf(stderr, "warning: could not write BENCH_flow_solvers.json\n");
-  return 0;
+  return pivots_ok ? 0 : 1;
 }

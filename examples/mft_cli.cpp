@@ -512,10 +512,11 @@ int run_single(const Args& args, const LoweredCircuit& lc, double dmin) {
               timing_summary(lc.net, r.result.sizes).c_str());
   std::printf(
       "\nengine     : %d thread%s (%d inner); job wall time %.2fs "
-      "(TILOS %.2fs, %d D/W iterations)\n",
+      "(TILOS %.2fs, %d D/W iterations, %lld simplex pivots)\n",
       batch.threads_used, batch.threads_used == 1 ? "" : "s", r.inner_threads,
       r.wall_seconds, r.result.tilos_seconds,
-      static_cast<int>(r.result.iterations.size()));
+      static_cast<int>(r.result.iterations.size()),
+      static_cast<long long>(r.stats.ns_pivots));
   return write_solution_outputs(args, lc, r.result.sizes) ? 0 : 1;
 }
 

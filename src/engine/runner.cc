@@ -200,6 +200,7 @@ bool write_batch_json(const std::string& path, const BatchResult& batch) {
           "\"tilos_seconds\": %.9g,\n"
           "     \"sta_full_runs\": %lld, \"sta_incremental_runs\": %lld, "
           "\"sta_hinted_runs\": %lld, \"sta_delays_recomputed\": %lld,\n"
+          "     \"ns_pivots\": %lld,\n"
           "     \"seed\": %llu, \"thread\": %d, \"inner_threads\": %d,\n"
           "     \"shard\": %d, \"shard_round\": %d, \"fast_math\": %s, "
           "\"attempts\": %d,\n"
@@ -213,6 +214,7 @@ bool write_batch_json(const std::string& path, const BatchResult& batch) {
           static_cast<long long>(r.stats.sta_incremental_runs),
           static_cast<long long>(r.stats.sta_hinted_runs),
           static_cast<long long>(r.stats.sta_delays_recomputed),
+          static_cast<long long>(r.stats.ns_pivots),
           static_cast<unsigned long long>(r.seed), r.thread, r.inner_threads,
           r.shard, r.shard_round, r.fast_math ? "true" : "false", r.attempts);
       for (std::size_t p = 0; p < r.pass_stats.size(); ++p) {

@@ -1,11 +1,33 @@
 #include "mcf/dual_lp.h"
 
 #include <cmath>
+#include <string>
 
 #include "mcf/network_simplex.h"
 #include "mcf/ssp.h"
+#include "util/status.h"
 
 namespace mft {
+namespace {
+
+// Range guards for the integerization. A scaled constraint bound becomes an
+// arc cost: |x| <= 2^62 converts to Cost exactly, and the flow solver then
+// applies its own node-count dependent bound (network_simplex.cc). Scaled
+// objective terms add up into node supplies, and in this uncapacitated
+// network every flow is at most their sum: Σ|s| <= kInfFlow / 4 keeps each
+// supply, each partial sum and each flow below kInfFlow / 2, where the
+// network simplex's unboundedness test starts.
+constexpr double kMaxScaledCost = 0x1p62;
+constexpr Flow kMaxSupplyTotal = kInfFlow / 4;
+
+[[noreturn]] void refuse_scaled(const char* what, double value) {
+  throw EngineError(EngineStatus::kInvalidInput,
+                    std::string("dual LP ") + what + " " +
+                        std::to_string(value) +
+                        " is out of range after integer scaling");
+}
+
+}  // namespace
 
 const char* to_string(FlowSolver s) {
   switch (s) {
@@ -129,12 +151,21 @@ DualFlowLp::Result DualFlowLp::solve(FlowSolver solver, int cost_digits,
       MFT_CHECK_MSG(c.w >= -1e-12, "infeasible grounded constraint");
       continue;
     }
-    w.problem.set_arc_cost(w.cons_arc[i],
-                           static_cast<Cost>(std::floor(c.w * cost_scale)));
+    const double scaled = std::floor(c.w * cost_scale);
+    if (!(std::fabs(scaled) <= kMaxScaledCost))
+      refuse_scaled("constraint bound", c.w);
+    w.problem.set_arc_cost(w.cons_arc[i], static_cast<Cost>(scaled));
   }
   w.problem.clear_supplies();
+  Flow supply_total = 0;
   for (const ObjTerm& t : obj_) {
-    const Flow s = std::llround(t.coeff * supply_scale);
+    const double scaled = t.coeff * supply_scale;
+    if (!(std::fabs(scaled) <= static_cast<double>(kMaxSupplyTotal)))
+      refuse_scaled("objective coefficient", t.coeff);
+    const Flow s = std::llround(scaled);
+    supply_total += s < 0 ? -s : s;
+    if (supply_total > kMaxSupplyTotal)
+      refuse_scaled("objective coefficient", t.coeff);
     if (s == 0) continue;
     w.problem.add_supply(w.node[static_cast<std::size_t>(t.plus)], s);
     w.problem.add_supply(w.node[static_cast<std::size_t>(t.minus)], -s);

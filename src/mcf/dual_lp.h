@@ -85,7 +85,9 @@ class DualFlowLp {
   /// Solve with decimal scaling 10^cost_digits for constraint bounds and
   /// 10^supply_digits for objective coefficients. With `ws`, the flow
   /// problem is rebuilt only when the LP structure changed since the
-  /// workspace's last use.
+  /// workspace's last use. A bound or coefficient too large for exact
+  /// int64 flow arithmetic after scaling throws
+  /// EngineError(kInvalidInput).
   Result solve(FlowSolver solver = FlowSolver::kNetworkSimplex,
                int cost_digits = 4, int supply_digits = 3,
                Workspace* ws = nullptr) const;

@@ -46,7 +46,13 @@ Flow McfProblem::total_supply() const {
 
 Cost McfProblem::max_abs_cost() const {
   Cost m = 0;
-  for (const McfArc& a : arcs_) m = std::max<Cost>(m, a.cost < 0 ? -a.cost : a.cost);
+  for (const McfArc& a : arcs_) {
+    // |INT64_MIN| does not fit; saturate so callers see an out-of-range cost.
+    const Cost c = a.cost == std::numeric_limits<Cost>::min()
+                       ? std::numeric_limits<Cost>::max()
+                       : (a.cost < 0 ? -a.cost : a.cost);
+    m = std::max(m, c);
+  }
   return m;
 }
 

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "util/fault.h"
+#include "util/status.h"
 
 namespace mft {
 namespace {
@@ -19,46 +22,67 @@ enum Dir : int {
   kDirUp = 1,    // arc points node -> parent
 };
 
+// Cost of the big-M artificial arcs, A = (C + 1)(n + 1) with C the largest
+// |cost|: more than any simple path costs, so artificial flow is driven out
+// whenever the instance is feasible.
+//
+// Bound. A node's dual is the signed sum of the costs on its tree path from
+// the root. That path has exactly one artificial arc (the root touches
+// nothing else) and at most n - 1 user arcs, so |pi| <= A + (n - 1)C < 2A.
+// A reduced cost c - pi(tail) + pi(head), each of its partial sums, and the
+// dual shift of a pivot (a new dual minus an old one) then stay below
+// C + 4A < 5A in magnitude. A <= INT64_MAX / 5 therefore keeps every dual
+// and reduced cost inside int64; larger inputs are refused.
+Cost big_m_cost(Cost max_abs_cost, int num_nodes) {
+  Cost big_m = 0;
+  if (__builtin_add_overflow(max_abs_cost, Cost{1}, &big_m) ||
+      __builtin_mul_overflow(big_m, static_cast<Cost>(num_nodes) + 1,
+                             &big_m) ||
+      big_m > std::numeric_limits<Cost>::max() / 5)
+    throw EngineError(EngineStatus::kInvalidInput,
+                      "min-cost flow costs too large: max |cost| " +
+                          std::to_string(max_abs_cost) + " on " +
+                          std::to_string(num_nodes) +
+                          " nodes would overflow int64 duals");
+  return big_m;
+}
+
 // The solver proper. All state lives in the McfWorkspace so a caller that
 // keeps one across solves never reallocates; the class only binds
-// references and runs the algorithm.
+// pointers and runs the algorithm.
 class Simplex {
  public:
   Simplex(const McfProblem& p, const NetworkSimplexOptions& opt,
           McfWorkspace& ws)
-      : p_(p), ws_(ws), n_(p.num_nodes()), root_(p.num_nodes()) {
+      : p_(p),
+        ws_(ws),
+        n_(p.num_nodes()),
+        root_(p.num_nodes()),
+        art_cost_(big_m_cost(p.max_abs_cost(), p.num_nodes())) {
     const int m_user = p.num_arcs();
     m_ = m_user + n_;  // user arcs + one artificial arc per node
+    const std::size_t m = static_cast<std::size_t>(m_);
+    const std::size_t nodes = static_cast<std::size_t>(n_ + 1);
 
-    ws_.tail.resize(static_cast<std::size_t>(m_));
-    ws_.head.resize(static_cast<std::size_t>(m_));
-    ws_.cap.resize(static_cast<std::size_t>(m_));
-    ws_.cost.resize(static_cast<std::size_t>(m_));
+    ws_.arc.resize(m);
+    ws_.cap.resize(m);
+    ws_.flow.assign(m, 0);
+    ws_.state.assign(m, kStateLower);
+    ws_.pi.resize(nodes);
+    ws_.parent.resize(nodes);
+    ws_.pred.resize(nodes);
+    ws_.pred_dir.resize(nodes);
+    ws_.depth.resize(nodes);
+    ws_.first_child.resize(nodes);
+    ws_.next_sibling.resize(nodes);
+    ws_.prev_sibling.resize(nodes);
     // Raw-pointer views of the workspace arrays: no vector sizes change
     // after this point, and the pointers let the optimizer keep hot-loop
     // loads in registers instead of re-reading through the vector headers.
-    tail_p_ = ws_.tail.data();
-    head_p_ = ws_.head.data();
+    // Every entry a solve reads is written below, so nothing a previous
+    // solve left behind survives.
+    arc_p_ = ws_.arc.data();
     cap_p_ = ws_.cap.data();
-    cost_p_ = ws_.cost.data();
-    for (ArcId a = 0; a < m_user; ++a) {
-      const McfArc& arc = p.arc(a);
-      tail_p_[static_cast<std::size_t>(a)] = arc.tail;
-      head_p_[static_cast<std::size_t>(a)] = arc.head;
-      cap_p_[static_cast<std::size_t>(a)] = arc.capacity;
-      cost_p_[static_cast<std::size_t>(a)] = arc.cost;
-    }
-    // Big-M exceeding any simple-path cost so artificial flow is driven out
-    // whenever the instance is feasible.
-    art_cost_ = (p.max_abs_cost() + 1) * static_cast<Cost>(n_ + 1);
-
-    ws_.flow.assign(static_cast<std::size_t>(m_), 0);
-    ws_.state.assign(static_cast<std::size_t>(m_), kStateLower);
-    ws_.pi.assign(static_cast<std::size_t>(n_ + 1), 0);
-    ws_.parent.assign(static_cast<std::size_t>(n_ + 1), kInvalidNode);
-    ws_.pred.assign(static_cast<std::size_t>(n_ + 1), kInvalidArc);
-    ws_.pred_dir.assign(static_cast<std::size_t>(n_ + 1), kDirDown);
-    ws_.depth.assign(static_cast<std::size_t>(n_ + 1), 0);
     flow_p_ = ws_.flow.data();
     state_p_ = ws_.state.data();
     pi_p_ = ws_.pi.data();
@@ -66,47 +90,52 @@ class Simplex {
     pred_p_ = ws_.pred.data();
     pred_dir_p_ = ws_.pred_dir.data();
     depth_p_ = ws_.depth.data();
-    // Reuse the inner adjacency vectors' capacity across solves.
-    if (static_cast<int>(ws_.tree_adj.size()) < n_ + 1)
-      ws_.tree_adj.resize(static_cast<std::size_t>(n_ + 1));
-    for (int v = 0; v <= n_; ++v)
-      ws_.tree_adj[static_cast<std::size_t>(v)].clear();
-    ws_.candidates.clear();
+    first_child_p_ = ws_.first_child.data();
+    next_sibling_p_ = ws_.next_sibling.data();
+    prev_sibling_p_ = ws_.prev_sibling.data();
     ws_.ns_pivots = 0;
 
+    for (ArcId a = 0; a < m_user; ++a) {
+      const McfArc& arc = p.arc(a);
+      arc_p_[a] = {arc.tail, arc.head, arc.cost};
+      cap_p_[a] = arc.capacity;
+    }
+
     // Initial basis: a star of artificial arcs around the virtual root,
-    // oriented so each carries |supply(v)| of nonnegative flow.
+    // oriented so each carries |supply(v)| of nonnegative flow; the root's
+    // child list is 0, 1, ..., n-1.
     for (NodeId v = 0; v < n_; ++v) {
       const Flow s = p.supply(v);
       const ArcId a = static_cast<ArcId>(m_user + v);
       if (s >= 0) {
-        tail_p_[static_cast<std::size_t>(a)] = v;
-        head_p_[static_cast<std::size_t>(a)] = root_;
-        flow_p_[static_cast<std::size_t>(a)] = s;
-        pred_dir_p_[static_cast<std::size_t>(v)] = kDirUp;
-        pi_p_[static_cast<std::size_t>(v)] = art_cost_;
+        arc_p_[a] = {v, root_, art_cost_};
+        flow_p_[a] = s;
+        pred_dir_p_[v] = kDirUp;
+        pi_p_[v] = art_cost_;
       } else {
-        tail_p_[static_cast<std::size_t>(a)] = root_;
-        head_p_[static_cast<std::size_t>(a)] = v;
-        flow_p_[static_cast<std::size_t>(a)] = -s;
-        pred_dir_p_[static_cast<std::size_t>(v)] = kDirDown;
-        pi_p_[static_cast<std::size_t>(v)] = -art_cost_;
+        arc_p_[a] = {root_, v, art_cost_};
+        flow_p_[a] = -s;
+        pred_dir_p_[v] = kDirDown;
+        pi_p_[v] = -art_cost_;
       }
-      cap_p_[static_cast<std::size_t>(a)] = kInfFlow;
-      cost_p_[static_cast<std::size_t>(a)] = art_cost_;
-      state_p_[static_cast<std::size_t>(a)] = kStateTree;
-      parent_p_[static_cast<std::size_t>(v)] = root_;
-      pred_p_[static_cast<std::size_t>(v)] = a;
-      depth_p_[static_cast<std::size_t>(v)] = 1;
-      ws_.tree_adj[static_cast<std::size_t>(v)].push_back(a);
-      ws_.tree_adj[static_cast<std::size_t>(root_)].push_back(a);
+      cap_p_[a] = kInfFlow;
+      state_p_[a] = kStateTree;
+      parent_p_[v] = root_;
+      pred_p_[v] = a;
+      depth_p_[v] = 1;
+      first_child_p_[v] = kInvalidNode;
+      next_sibling_p_[v] = v + 1 < n_ ? v + 1 : kInvalidNode;
+      prev_sibling_p_[v] = v > 0 ? v - 1 : kInvalidNode;
     }
+    pi_p_[root_] = 0;
+    parent_p_[root_] = kInvalidNode;
+    pred_p_[root_] = kInvalidArc;
+    pred_dir_p_[root_] = kDirDown;
+    depth_p_[root_] = 0;
+    first_child_p_[root_] = 0;
+    next_sibling_p_[root_] = kInvalidNode;
+    prev_sibling_p_[root_] = kInvalidNode;
 
-    pricing_ = opt.pricing;
-    block_size_ = opt.block_size > 0
-                      ? opt.block_size
-                      : std::max(20, static_cast<int>(std::sqrt(
-                                         static_cast<double>(m_))));
     list_size_ =
         opt.candidate_list_size > 0
             ? opt.candidate_list_size
@@ -117,8 +146,8 @@ class Simplex {
     max_pivots_ = opt.max_pivots > 0
                       ? opt.max_pivots
                       : 50 * static_cast<std::int64_t>(m_) + 1000;
-    next_arc_ = 0;
-    minor_count_ = 0;
+    ws_.candidates.resize(static_cast<std::size_t>(list_size_));
+    candidates_p_ = ws_.candidates.data();
   }
 
   McfSolution run() {
@@ -138,75 +167,39 @@ class Simplex {
     }
     // Any residual artificial flow means the supplies cannot be routed.
     for (ArcId a = p_.num_arcs(); a < m_; ++a) {
-      if (flow_p_[static_cast<std::size_t>(a)] != 0) {
+      if (flow_p_[a] != 0) {
         sol.status = McfStatus::kInfeasible;
         return sol;
       }
     }
     sol.status = McfStatus::kOptimal;
-    sol.flow.assign(ws_.flow.begin(), ws_.flow.begin() + p_.num_arcs());
-    sol.potential.assign(ws_.pi.begin(), ws_.pi.begin() + n_);
+    sol.flow.assign(flow_p_, flow_p_ + p_.num_arcs());
+    sol.potential.assign(pi_p_, pi_p_ + n_);
     sol.total_cost = flow_cost(p_, sol.flow);
     return sol;
   }
 
  private:
-  // Reduced cost under the dual contract of mcf.h.
-  Cost reduced_cost(ArcId a) const {
-    return cost_p_[static_cast<std::size_t>(a)] -
-           pi_p_[static_cast<std::size_t>(
-               tail_p_[static_cast<std::size_t>(a)])] +
-           pi_p_[static_cast<std::size_t>(
-               head_p_[static_cast<std::size_t>(a)])];
-  }
-
-  // state * reduced_cost < 0 means the arc profitably enters the basis.
+  // state * reduced_cost < 0 means the arc profitably enters the basis;
+  // the reduced cost follows the dual contract of mcf.h.
   Cost violation(ArcId a) const {
-    return -static_cast<Cost>(state_p_[static_cast<std::size_t>(a)]) *
-           reduced_cost(a);
-  }
-
-  ArcId find_entering_arc() {
-    return pricing_ == NetworkSimplexOptions::Pricing::kCandidateList
-               ? candidate_list_pivot()
-               : block_search_pivot();
-  }
-
-  // Block pivot search: scan arcs cyclically, return the most violating arc
-  // within the first block that contains any violation.
-  ArcId block_search_pivot() {
-    Cost best_violation = 0;
-    ArcId best = kInvalidArc;
-    int counted = 0;
-    for (int scanned = 0; scanned < m_; ++scanned) {
-      const ArcId a = next_arc_;
-      next_arc_ = (next_arc_ + 1 == m_) ? 0 : next_arc_ + 1;
-      if (state_p_[static_cast<std::size_t>(a)] == kStateTree) continue;
-      const Cost v = violation(a);
-      if (v > best_violation) {
-        best_violation = v;
-        best = a;
-      }
-      if (++counted == block_size_) {
-        if (best != kInvalidArc) return best;
-        counted = 0;
-      }
-    }
-    return best;
+    const McfWorkspace::Arc& r = arc_p_[a];
+    return -static_cast<Cost>(state_p_[a]) *
+           (r.cost - pi_p_[r.tail] + pi_p_[r.head]);
   }
 
   // Candidate-list pricing: serve pivots from a shortlist of violating
   // arcs, dropping entries whose violation was cured by earlier pivots;
   // rebuild the shortlist with a full cyclic scan when it runs dry or
   // after `minor_limit_` minor pivots.
-  ArcId candidate_list_pivot() {
-    auto& list = ws_.candidates;
+  ArcId find_entering_arc() {
+    ArcId* const list = candidates_p_;
     Cost best_violation = 0;
     ArcId best = kInvalidArc;
-    if (minor_count_ < minor_limit_ && !list.empty()) {
+    if (minor_count_ < minor_limit_ && num_candidates_ > 0) {
       ++minor_count_;
-      std::size_t keep = 0;
-      for (std::size_t i = 0; i < list.size(); ++i) {
+      int keep = 0;
+      for (int i = 0; i < num_candidates_; ++i) {
         const ArcId a = list[i];
         const Cost v = violation(a);
         if (v <= 0) continue;  // cured; drop from the shortlist
@@ -216,24 +209,35 @@ class Simplex {
           best = a;
         }
       }
-      list.resize(keep);
+      num_candidates_ = keep;
       if (best != kInvalidArc) return best;
     }
-    // Major iteration: rebuild the shortlist from a full cyclic scan.
+    // Major iteration: rebuild the shortlist from a full cyclic scan that
+    // starts at next_arc_, run as the two linear ranges [next_arc_, m) and
+    // [0, next_arc_). Each arc is written to the slot past the list's end
+    // and kept only if it violates; the scan stops once the list is full,
+    // and the next one resumes after the last arc read.
     minor_count_ = 1;
-    list.clear();
-    for (int scanned = 0; scanned < m_; ++scanned) {
-      const ArcId a = next_arc_;
-      next_arc_ = (next_arc_ + 1 == m_) ? 0 : next_arc_ + 1;
-      const Cost v = violation(a);
-      if (v <= 0) continue;
-      list.push_back(a);
-      if (v > best_violation) {
-        best_violation = v;
-        best = a;
+    int count = 0;
+    const auto scan = [&](ArcId begin, ArcId end) {
+      for (ArcId a = begin; a < end; ++a) {
+        const Cost v = violation(a);
+        list[count] = a;
+        count += v > 0;
+        if (v > best_violation) {
+          best_violation = v;
+          best = a;
+        }
+        if (count == list_size_) {
+          next_arc_ = a + 1 == m_ ? 0 : a + 1;
+          return true;
+        }
       }
-      if (static_cast<int>(list.size()) == list_size_) break;
-    }
+      return false;
+    };
+    const ArcId start = next_arc_;
+    if (!scan(start, m_)) scan(0, start);
+    num_candidates_ = count;
     return best;
   }
 
@@ -247,21 +251,19 @@ class Simplex {
     auto& b = ws_.path_second;
     a.clear();
     b.clear();
-    while (depth_p_[static_cast<std::size_t>(u)] >
-           depth_p_[static_cast<std::size_t>(v)]) {
+    while (depth_p_[u] > depth_p_[v]) {
       a.push_back(u);
-      u = parent_p_[static_cast<std::size_t>(u)];
+      u = parent_p_[u];
     }
-    while (depth_p_[static_cast<std::size_t>(v)] >
-           depth_p_[static_cast<std::size_t>(u)]) {
+    while (depth_p_[v] > depth_p_[u]) {
       b.push_back(v);
-      v = parent_p_[static_cast<std::size_t>(v)];
+      v = parent_p_[v];
     }
     while (u != v) {
       a.push_back(u);
-      u = parent_p_[static_cast<std::size_t>(u)];
+      u = parent_p_[u];
       b.push_back(v);
-      v = parent_p_[static_cast<std::size_t>(v)];
+      v = parent_p_[v];
     }
   }
 
@@ -270,34 +272,24 @@ class Simplex {
   bool pivot(ArcId in_arc) {
     // Cycle orientation: `delta` units travel join -> first -> (in_arc
     // residual) -> second -> join.
-    NodeId first, second;
-    if (state_p_[static_cast<std::size_t>(in_arc)] == kStateLower) {
-      first = tail_p_[static_cast<std::size_t>(in_arc)];
-      second = head_p_[static_cast<std::size_t>(in_arc)];
-    } else {
-      first = head_p_[static_cast<std::size_t>(in_arc)];
-      second = tail_p_[static_cast<std::size_t>(in_arc)];
-    }
+    const McfWorkspace::Arc in = arc_p_[in_arc];
+    const bool in_lower = state_p_[in_arc] == kStateLower;
+    const NodeId first = in_lower ? in.tail : in.head;
+    const NodeId second = in_lower ? in.head : in.tail;
     collect_cycle(first, second);
     const auto& path_first = ws_.path_first;
     const auto& path_second = ws_.path_second;
 
     // Residual of the entering arc itself.
-    Flow delta = state_p_[static_cast<std::size_t>(in_arc)] == kStateLower
-                     ? cap_p_[static_cast<std::size_t>(in_arc)] -
-                           flow_p_[static_cast<std::size_t>(in_arc)]
-                     : flow_p_[static_cast<std::size_t>(in_arc)];
+    Flow delta = in_lower ? cap_p_[in_arc] - flow_p_[in_arc] : flow_p_[in_arc];
     int result = 0;  // 0: in_arc leaves; 1/2: a tree arc on either path
     NodeId u_out = kInvalidNode;
 
     // First-side path: cycle direction is parent -> child (toward `first`).
     for (const NodeId u : path_first) {
-      const ArcId e = pred_p_[static_cast<std::size_t>(u)];
-      const Flow f = flow_p_[static_cast<std::size_t>(e)];
-      const Flow residual =
-          pred_dir_p_[static_cast<std::size_t>(u)] == kDirDown
-              ? cap_p_[static_cast<std::size_t>(e)] - f
-              : f;
+      const ArcId e = pred_p_[u];
+      const Flow f = flow_p_[e];
+      const Flow residual = pred_dir_p_[u] == kDirDown ? cap_p_[e] - f : f;
       if (residual < delta) {
         delta = residual;
         u_out = u;
@@ -309,12 +301,9 @@ class Simplex {
     // feasible tie-break: among equal residuals the lowest-depth arc (the
     // one closest to the join) leaves.
     for (const NodeId u : path_second) {
-      const ArcId e = pred_p_[static_cast<std::size_t>(u)];
-      const Flow f = flow_p_[static_cast<std::size_t>(e)];
-      const Flow residual =
-          pred_dir_p_[static_cast<std::size_t>(u)] == kDirUp
-              ? cap_p_[static_cast<std::size_t>(e)] - f
-              : f;
+      const ArcId e = pred_p_[u];
+      const Flow f = flow_p_[e];
+      const Flow residual = pred_dir_p_[u] == kDirUp ? cap_p_[e] - f : f;
       if (residual <= delta) {
         delta = residual;
         u_out = u;
@@ -329,131 +318,114 @@ class Simplex {
 
     // Apply the flow change around the cycle.
     if (delta != 0) {
-      const Flow signed_delta =
-          state_p_[static_cast<std::size_t>(in_arc)] == kStateLower ? delta
-                                                                     : -delta;
-      flow_p_[static_cast<std::size_t>(in_arc)] += signed_delta;
-      for (const NodeId u : path_first) {
-        const ArcId e = pred_p_[static_cast<std::size_t>(u)];
-        flow_p_[static_cast<std::size_t>(e)] +=
-            pred_dir_p_[static_cast<std::size_t>(u)] == kDirDown ? delta
-                                                                  : -delta;
-      }
-      for (const NodeId u : path_second) {
-        const ArcId e = pred_p_[static_cast<std::size_t>(u)];
-        flow_p_[static_cast<std::size_t>(e)] +=
-            pred_dir_p_[static_cast<std::size_t>(u)] == kDirUp ? delta
-                                                                : -delta;
-      }
+      flow_p_[in_arc] += in_lower ? delta : -delta;
+      for (const NodeId u : path_first)
+        flow_p_[pred_p_[u]] += pred_dir_p_[u] == kDirDown ? delta : -delta;
+      for (const NodeId u : path_second)
+        flow_p_[pred_p_[u]] += pred_dir_p_[u] == kDirUp ? delta : -delta;
     }
 
     if (result == 0) {
       // The entering arc saturates without displacing a tree arc.
-      state_p_[static_cast<std::size_t>(in_arc)] =
-          state_p_[static_cast<std::size_t>(in_arc)] == kStateLower
-              ? kStateUpper
-              : kStateLower;
+      state_p_[in_arc] = in_lower ? kStateUpper : kStateLower;
       return true;
     }
 
     // Swap the basis: `out_arc` (pred of u_out) leaves, in_arc enters.
-    const ArcId out_arc = pred_p_[static_cast<std::size_t>(u_out)];
-    const NodeId p_out = parent_p_[static_cast<std::size_t>(u_out)];
-    detach_tree_arc(u_out, out_arc);
-    detach_tree_arc(p_out, out_arc);
-    state_p_[static_cast<std::size_t>(out_arc)] =
-        flow_p_[static_cast<std::size_t>(out_arc)] == 0 ? kStateLower
-                                                         : kStateUpper;
-
+    const ArcId out_arc = pred_p_[u_out];
+    state_p_[out_arc] = flow_p_[out_arc] == 0 ? kStateLower : kStateUpper;
+    state_p_[in_arc] = kStateTree;
     const NodeId attach = result == 1 ? first : second;  // endpoint inside
-    const NodeId outside =
-        attach == tail_p_[static_cast<std::size_t>(in_arc)]
-            ? head_p_[static_cast<std::size_t>(in_arc)]
-            : tail_p_[static_cast<std::size_t>(in_arc)];
-    ws_.tree_adj[static_cast<std::size_t>(attach)].push_back(in_arc);
-    ws_.tree_adj[static_cast<std::size_t>(outside)].push_back(in_arc);
-    state_p_[static_cast<std::size_t>(in_arc)] = kStateTree;
-
-    reroot_subtree(attach, outside, in_arc);
+    const NodeId outside = attach == in.tail ? in.head : in.tail;
+    reroot_subtree(attach, outside, in_arc, u_out);
     return true;
   }
 
-  void detach_tree_arc(NodeId v, ArcId a) {
-    auto& adj = ws_.tree_adj[static_cast<std::size_t>(v)];
-    for (std::size_t i = 0; i < adj.size(); ++i) {
-      if (adj[i] == a) {
-        adj[i] = adj.back();
-        adj.pop_back();
-        return;
-      }
-    }
-    MFT_CHECK_MSG(false, "tree arc not found in adjacency");
-  }
-
-  // Re-roots the detached subtree at `q`, now hanging from `q_parent` via
-  // tree arc `via`. The tree arcs *inside* the subtree are unchanged, so
-  // every subtree dual shifts by the same constant; one DFS rewrites
-  // parent/pred/pred_dir/depth and applies that single pi delta — no
-  // per-node cost arithmetic.
-  void reroot_subtree(NodeId q, NodeId q_parent, ArcId via) {
+  // Moves the subtree rooted at `u_out` (whose tree arc just left) so that
+  // it hangs from `outside` by tree arc `via`, re-rooted at its node `q`.
+  // Only the stem q -> ... -> u_out changes parents: each stem node moves
+  // under the one before it (q under `outside`) and takes over the tree arc
+  // between them. Every other node keeps parent, pred and pred_dir. The
+  // arcs inside the subtree are unchanged, so every subtree dual shifts by
+  // one constant; a stackless preorder walk applies it and fixes depths.
+  void reroot_subtree(NodeId q, NodeId outside, ArcId via, NodeId u_out) {
+    const McfWorkspace::Arc& in = arc_p_[via];
     const Cost new_pi_q =
-        tail_p_[static_cast<std::size_t>(via)] == q_parent
-            ? pi_p_[static_cast<std::size_t>(q_parent)] -
-                  cost_p_[static_cast<std::size_t>(via)]
-            : pi_p_[static_cast<std::size_t>(q_parent)] +
-                  cost_p_[static_cast<std::size_t>(via)];
-    const Cost dpi = new_pi_q - pi_p_[static_cast<std::size_t>(q)];
+        in.tail == outside ? pi_p_[outside] - in.cost : pi_p_[outside] + in.cost;
+    const Cost dpi = new_pi_q - pi_p_[q];
 
-    auto& stack = ws_.stack;
-    stack.clear();
-    attach_node(q, q_parent, via);
-    pi_p_[static_cast<std::size_t>(q)] += dpi;
-    stack.push_back(q);
-    while (!stack.empty()) {
-      const NodeId w = stack.back();
-      stack.pop_back();
-      for (const ArcId a : ws_.tree_adj[static_cast<std::size_t>(w)]) {
-        if (a == pred_p_[static_cast<std::size_t>(w)]) continue;
-        const NodeId z = tail_p_[static_cast<std::size_t>(a)] == w
-                             ? head_p_[static_cast<std::size_t>(a)]
-                             : tail_p_[static_cast<std::size_t>(a)];
-        attach_node(z, w, a);
-        pi_p_[static_cast<std::size_t>(z)] += dpi;
-        stack.push_back(z);
+    NodeId u = q;
+    NodeId new_parent = outside;
+    ArcId new_pred = via;
+    for (;;) {
+      const NodeId old_parent = parent_p_[u];
+      const ArcId old_pred = pred_p_[u];
+      unlink_child(u, old_parent);
+      link_child(u, new_parent);
+      parent_p_[u] = new_parent;
+      pred_p_[u] = new_pred;
+      pred_dir_p_[u] = arc_p_[new_pred].tail == new_parent ? kDirDown : kDirUp;
+      if (u == u_out) break;
+      new_parent = u;
+      new_pred = old_pred;
+      u = old_parent;
+    }
+
+    NodeId v = q;
+    pi_p_[v] += dpi;
+    depth_p_[v] = depth_p_[outside] + 1;
+    for (;;) {
+      NodeId next = first_child_p_[v];
+      if (next == kInvalidNode) {
+        while (v != q && next_sibling_p_[v] == kInvalidNode) v = parent_p_[v];
+        if (v == q) return;
+        next = next_sibling_p_[v];
       }
+      v = next;
+      pi_p_[v] += dpi;
+      depth_p_[v] = depth_p_[parent_p_[v]] + 1;
     }
   }
 
-  void attach_node(NodeId child, NodeId parent, ArcId a) {
-    parent_p_[static_cast<std::size_t>(child)] = parent;
-    pred_p_[static_cast<std::size_t>(child)] = a;
-    pred_dir_p_[static_cast<std::size_t>(child)] =
-        tail_p_[static_cast<std::size_t>(a)] == parent ? kDirDown : kDirUp;
-    depth_p_[static_cast<std::size_t>(child)] =
-        depth_p_[static_cast<std::size_t>(parent)] + 1;
+  void unlink_child(NodeId v, NodeId parent) {
+    const NodeId prev = prev_sibling_p_[v];
+    const NodeId next = next_sibling_p_[v];
+    if (prev != kInvalidNode)
+      next_sibling_p_[prev] = next;
+    else
+      first_child_p_[parent] = next;
+    if (next != kInvalidNode) prev_sibling_p_[next] = prev;
+  }
+
+  void link_child(NodeId v, NodeId parent) {
+    const NodeId head = first_child_p_[parent];
+    next_sibling_p_[v] = head;
+    prev_sibling_p_[v] = kInvalidNode;
+    if (head != kInvalidNode) prev_sibling_p_[head] = v;
+    first_child_p_[parent] = v;
   }
 
   const McfProblem& p_;
   McfWorkspace& ws_;
-  NodeId* tail_p_ = nullptr;
-  NodeId* head_p_ = nullptr;
+  McfWorkspace::Arc* arc_p_ = nullptr;
   Flow* cap_p_ = nullptr;
   Flow* flow_p_ = nullptr;
-  Cost* cost_p_ = nullptr;
   int* state_p_ = nullptr;
   Cost* pi_p_ = nullptr;
   NodeId* parent_p_ = nullptr;
   ArcId* pred_p_ = nullptr;
   int* pred_dir_p_ = nullptr;
   int* depth_p_ = nullptr;
+  NodeId* first_child_p_ = nullptr;
+  NodeId* next_sibling_p_ = nullptr;
+  NodeId* prev_sibling_p_ = nullptr;
+  ArcId* candidates_p_ = nullptr;
   const int n_;
   const NodeId root_;
+  const Cost art_cost_;
   int m_ = 0;
-  Cost art_cost_ = 0;
-  NetworkSimplexOptions::Pricing pricing_ =
-      NetworkSimplexOptions::Pricing::kCandidateList;
-  int block_size_ = 0;
   int list_size_ = 0;
+  int num_candidates_ = 0;
   int minor_limit_ = 0;
   int minor_count_ = 0;
   std::int64_t max_pivots_ = 0;
@@ -473,7 +445,10 @@ McfSolution solve_network_simplex(const McfProblem& p,
     return sol;
   }
   McfWorkspace local;
-  return Simplex(p, opt, ws ? *ws : local).run();
+  McfWorkspace& w = ws ? *ws : local;
+  McfSolution sol = Simplex(p, opt, w).run();
+  w.ns_pivots_total += w.ns_pivots;
+  return sol;
 }
 
 }  // namespace mft

@@ -36,7 +36,7 @@ ContextStats SizingContext::stats() const {
   s.sta_hinted_runs = timing_.hinted_runs + dphase_.timing.hinted_runs;
   s.sta_delays_recomputed =
       timing_.delays_recomputed + dphase_.timing.delays_recomputed;
-  s.ns_pivots = dphase_.flow.mcf.ns_pivots;
+  s.ns_pivots = dphase_.flow.mcf.ns_pivots_total;
   return s;
 }
 

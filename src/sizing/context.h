@@ -36,7 +36,7 @@ struct ContextStats {
   /// Incremental runs that took the changed-hint path (no size scan).
   std::int64_t sta_hinted_runs = 0;
   std::int64_t sta_delays_recomputed = 0;
-  std::int64_t ns_pivots = 0;  ///< network-simplex pivots of the last solve
+  std::int64_t ns_pivots = 0;  ///< network-simplex pivots, all D-phase solves
 };
 
 class SizingContext {

@@ -8,6 +8,7 @@
 #include "lp/dense_simplex.h"
 #include "mcf/dual_lp.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace mft {
 namespace {
@@ -163,6 +164,36 @@ TEST(DualFlowLp, MatchesDenseSimplexOracleOnRandomInstances) {
     EXPECT_NEAR(flow_res.objective, lp_res->objective, 1e-6)
         << "trial " << trial;
   }
+}
+
+TEST(DualFlowLp, RefusesValuesTooLargeForIntegerScaling) {
+  DualFlowLp lp(3);
+  lp.fix_zero(0);
+  const int bound = lp.add_constraint(1, 0, 1e30);
+  lp.add_constraint(2, 1, 1.0);
+  const int term = lp.add_objective_difference(2, 0, 1.0);
+  const auto expect_refused = [&lp] {
+    for (FlowSolver solver : {FlowSolver::kNetworkSimplex, FlowSolver::kSsp,
+                              FlowSolver::kCycleCanceling}) {
+      try {
+        lp.solve(solver);
+        ADD_FAILURE() << "expected EngineError for " << to_string(solver);
+      } catch (const EngineError& e) {
+        EXPECT_EQ(e.status(), EngineStatus::kInvalidInput) << e.what();
+      }
+    }
+  };
+  expect_refused();
+  lp.set_constraint_bound(bound, -1e30);
+  expect_refused();
+
+  lp.set_constraint_bound(bound, 2.0);
+  const DualFlowLp::Result r = lp.solve();
+  ASSERT_TRUE(r.solved);
+  EXPECT_NEAR(r.objective, 3.0, kTol);
+
+  lp.set_objective_coeff(term, 1e30);
+  expect_refused();
 }
 
 }  // namespace

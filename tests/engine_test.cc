@@ -324,6 +324,21 @@ TEST(Context, InstrumentationResetsPerJobWhileCachesSurvive) {
   EXPECT_EQ(ctx.dphase().problem_builds(), 1);
 }
 
+TEST(Context, PivotCountCoversEveryDPhaseSolveOfTheJob) {
+  Netlist nl = make_ripple_adder(8);
+  LoweredCircuit lc = lower(nl);
+  const double dmin = min_sized_delay(lc.net);
+
+  SizingContext ctx(lc.net);
+  const MinflotransitResult r = run_minflotransit(ctx, 0.5 * dmin);
+  ASSERT_GE(r.iterations.size(), 2u);  // at least two D-phase solves
+  const std::int64_t last_solve = ctx.dphase().flow.mcf.ns_pivots;
+  EXPECT_GT(last_solve, 0);
+  EXPECT_GT(ctx.stats().ns_pivots, last_solve);
+  ctx.begin_job();
+  EXPECT_EQ(ctx.stats().ns_pivots, 0);
+}
+
 TEST(Context, ContextRunsAreBitIdenticalToFreshRuns) {
   Netlist nl = make_mux_tree(4);
   LoweredCircuit lc = lower(nl);
@@ -398,6 +413,13 @@ TEST(Engine, ParallelBatchBitIdenticalToSequential) {
     expect_bit_identical(x.result, y.result);
     EXPECT_EQ(x.dmin, y.dmin);
     EXPECT_EQ(x.target, y.target);
+    // The job's pivot total covers all of its own D-phase solves, however
+    // the jobs were spread over workers.
+    EXPECT_EQ(x.stats.ns_pivots, y.stats.ns_pivots);
+    if (jobs[i].options.dphase.solver == FlowSolver::kNetworkSimplex &&
+        x.result.iterations.size() >= 2) {
+      EXPECT_GT(x.stats.ns_pivots, 0);
+    }
   }
 }
 

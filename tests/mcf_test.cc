@@ -8,6 +8,7 @@
 #include "mcf/network_simplex.h"
 #include "mcf/ssp.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace mft {
 namespace {
@@ -274,6 +275,58 @@ TEST(McfChecker, RejectsBadPotentials) {
   ASSERT_EQ(s.status, McfStatus::kOptimal);
   s.potential[0] = s.potential[1] + 100;  // dual infeasible on arc 0->1
   EXPECT_FALSE(check_flow_optimal(p, s));
+}
+
+// The network simplex's big-M start keeps every dual inside int64 only
+// while (max|cost| + 1)(n + 1) <= INT64_MAX / 5 (derived in
+// network_simplex.cc); past that it refuses the input.
+void expect_refused(const McfProblem& p) {
+  try {
+    solve_network_simplex(p);
+    ADD_FAILURE() << "expected EngineError(kInvalidInput)";
+  } catch (const EngineError& e) {
+    EXPECT_EQ(e.status(), EngineStatus::kInvalidInput) << e.what();
+  }
+}
+
+TEST(NetworkSimplexOverflow, RefusesCostsTooLargeForTheBigMStart) {
+  McfProblem p(2);
+  p.add_arc(0, 1, 10, Cost{1} << 62);
+  p.set_supply(0, 4);
+  p.set_supply(1, -4);
+  expect_refused(p);
+
+  McfProblem q(2);  // |INT64_MIN| has no int64 value at all
+  q.add_arc(0, 1, 10, std::numeric_limits<Cost>::min());
+  expect_refused(q);
+
+  // The largest cost the bound admits on two nodes is solved exactly.
+  const Cost big = std::numeric_limits<Cost>::max() / 5 / 3 - 1;
+  McfProblem r(2);
+  r.add_arc(0, 1, 10, big);
+  r.add_arc(1, 0, 10, -big);
+  r.set_supply(0, 4);
+  r.set_supply(1, -4);
+  const McfSolution s = solve_network_simplex(r);
+  ASSERT_EQ(s.status, McfStatus::kOptimal);
+  EXPECT_EQ(s.total_cost, 4 * big);
+  std::string why;
+  EXPECT_TRUE(check_flow_optimal(r, s, &why)) << why;
+}
+
+TEST(NetworkSimplexOverflow, BoundScalesWithNodeCount) {
+  // n + 1 = 10^6: cost 10^13 puts the big-M cost near 10^19, past int64.
+  McfProblem p(999999);
+  p.add_arc(0, 1, kInfFlow, 10'000'000'000'000);
+  p.set_supply(0, 1);
+  p.set_supply(1, -1);
+  expect_refused(p);
+  // Cost 10^12 keeps it near 10^18, and every dual stays exact.
+  p.set_arc_cost(0, 1'000'000'000'000);
+  const McfSolution s = solve_network_simplex(p);
+  ASSERT_EQ(s.status, McfStatus::kOptimal);
+  EXPECT_EQ(s.total_cost, 1'000'000'000'000);
+  EXPECT_EQ(s.potential[0] - s.potential[1], 1'000'000'000'000);
 }
 
 TEST(McfProblemApi, RejectsSelfLoopsAndBadNodes) {
