@@ -1,18 +1,24 @@
 // Ablation A1: which min-cost-flow solver should back the D-phase?
 //
-// Two sections:
+// Three sections:
 //  1. Real D-phase instances — the LP of eq. (10) built from TILOS-sized
 //     ISCAS analogs — solved end-to-end through run_dphase with each
-//     backend solver.
-//  2. Generated layered min-cost-flow instances of growing size (deep,
+//     backend solver, cold.
+//  2. The D/W iterate sequence of one real MINFLOTRANSIT run (c2670 and
+//     c3540 at 0.6 Dmin), replayed through run_dphase twice: cold, with
+//     the basis forgotten before every solve, and warm, each solve starting
+//     from the previous optimal basis as a job does. The bench exits 1 if
+//     any warm budget differs from the cold one by a single bit.
+//  3. Generated layered min-cost-flow instances of growing size (deep,
 //     chain-heavy networks shaped like circuit DAG duals), solved directly
-//     with the network simplex. This is the hot-path scaling curve; the
-//     largest instance is the change-over-change perf gate.
+//     with the network simplex from a cold start. This is the hot-path
+//     scaling curve; the largest instance is the change-over-change perf
+//     gate.
 //
 // The layered instances are also the pivot-sequence gate: their pivot
 // counts are host-independent integers, pinned below, and any change to
-// the pricing rule, the leaving-arc rule or the start basis moves them.
-// The bench exits 1 when one differs.
+// the pricing rule, the leaving-arc rule or the cold start basis moves
+// them. The bench exits 1 when one differs.
 //
 // Results go to stdout and to BENCH_flow_solvers.json (see BenchJson).
 #include <cstdint>
@@ -24,6 +30,7 @@
 #include "mcf/network_simplex.h"
 #include "mcf/ssp.h"
 #include "sizing/dphase.h"
+#include "sizing/pass.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -93,6 +100,71 @@ McfProblem make_layered(std::uint64_t seed, int layers, int width,
   return p;
 }
 
+// The D-phase inputs of one iteration: the iterate and the trust bound.
+struct Iterate {
+  std::vector<double> sizes;
+  double beta;
+};
+
+// The paper's D/W pass, logging the input of every D-phase solve it runs.
+class RecordingDPhasePass : public OptimizerPass {
+ public:
+  RecordingDPhasePass(const MinflotransitOptions& opt,
+                      std::vector<Iterate>* log)
+      : inner_(opt.dphase, opt.rel_improvement_stop, opt.patience,
+               opt.max_beta_backoffs),
+        log_(log) {}
+  const std::string& name() const override { return inner_.name(); }
+  void begin(SizingContext& ctx, PipelineState& s) override {
+    inner_.begin(ctx, s);
+  }
+  PassStatus run(SizingContext& ctx, PipelineState& s) override {
+    log_->push_back({s.sizes, s.beta});
+    return inner_.run(ctx, s);
+  }
+
+ private:
+  DPhasePass inner_;
+  std::vector<Iterate>* log_;
+};
+
+std::vector<Iterate> record_iterates(const SizingNetwork& net, double target) {
+  const MinflotransitOptions opt;
+  std::vector<Iterate> log;
+  Pipeline p;
+  p.add(std::make_unique<TilosPass>(opt.tilos));
+  p.add(std::make_unique<WPhasePass>());
+  p.add(std::make_unique<RecordingDPhasePass>(opt, &log), opt.max_iterations);
+  SizingContext ctx(net);
+  p.run(ctx, target);
+  return log;
+}
+
+struct Replay {
+  double seconds = 0.0;
+  std::int64_t pivots = 0;
+  std::vector<std::vector<double>> budgets;
+};
+
+// Runs the D-phase at every iterate through one workspace, forgetting the
+// basis before each solve when `cold`.
+Replay replay(const SizingNetwork& net, const std::vector<Iterate>& iterates,
+              bool cold) {
+  Replay out;
+  DPhaseWorkspace ws;
+  for (const Iterate& it : iterates) {
+    DPhaseOptions opt;
+    opt.beta = it.beta;
+    if (cold) ws.flow.mcf.forget_basis();
+    Stopwatch sw;
+    const DPhaseResult r = run_dphase(net, it.sizes, opt, &ws);
+    out.seconds += sw.seconds();
+    out.pivots += ws.flow.mcf.ns_pivots;
+    out.budgets.push_back(r.budget);
+  }
+  return out;
+}
+
 double time_best_of(int reps, const std::function<void()>& fn) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
@@ -134,27 +206,46 @@ int main() {
                {{"constraints", static_cast<double>(r.num_constraints)},
                 {"objective", r.objective}});
     }
-    // Steady-state with a persistent workspace: the LP + flow problem are
-    // built on the first call, later calls only rewrite costs/supplies.
-    {
-      DPhaseWorkspace ws;
-      DPhaseResult r = run_dphase(p.lc.net, p.sizes, {}, &ws);  // warm up
-      const double secs = time_best_of(3, [&] {
-        r = run_dphase(p.lc.net, p.sizes, {}, &ws);
-      });
-      const std::string bname = "dphase/" + name + "/network_simplex_ws";
-      std::printf("%-34s %12.3f %14d %12.4f\n", bname.c_str(), secs * 1e3,
-                  r.num_constraints, r.objective);
-      std::fflush(stdout);
-      json.add(bname, secs,
-               {{"constraints", static_cast<double>(r.num_constraints)},
-                {"objective", r.objective},
-                {"pivots", static_cast<double>(ws.flow.mcf.ns_pivots)},
-                {"problem_builds", static_cast<double>(ws.problem_builds())}});
-    }
   }
 
-  // --- Section 2: network simplex on generated layered instances ---------
+  // --- Section 2: the D/W iterate sequence of a real run, cold and warm ---
+  std::printf("\n%-34s %8s %12s %12s %12s %12s\n", "benchmark", "solves",
+              "cold pivots", "warm pivots", "cold ms/solve", "warm ms/solve");
+  bool warm_equals_cold = true;
+  for (const std::string& name : {std::string("c2670"), std::string("c3540")}) {
+    const LoweredCircuit lc = lower_gate_level(load_circuit(name), Tech{});
+    const std::vector<Iterate> iterates =
+        record_iterates(lc.net, 0.6 * min_sized_delay(lc.net));
+    Replay cold, warm;
+    for (int rep = 0; rep < 3; ++rep) {
+      Replay c = replay(lc.net, iterates, /*cold=*/true);
+      Replay w = replay(lc.net, iterates, /*cold=*/false);
+      if (rep == 0 || c.seconds < cold.seconds) cold = std::move(c);
+      if (rep == 0 || w.seconds < warm.seconds) warm = std::move(w);
+    }
+    if (warm.budgets != cold.budgets) {
+      std::fprintf(stderr, "FAIL: %s warm D-phase budgets differ from cold\n",
+                   name.c_str());
+      warm_equals_cold = false;
+    }
+    const double solves = static_cast<double>(iterates.size());
+    const std::string bname = "dphase_seq/" + name + "@0.6";
+    std::printf("%-34s %8zu %12lld %12lld %12.3f %12.3f\n", bname.c_str(),
+                iterates.size(), static_cast<long long>(cold.pivots),
+                static_cast<long long>(warm.pivots),
+                cold.seconds * 1e3 / solves, warm.seconds * 1e3 / solves);
+    std::fflush(stdout);
+    json.add(bname + "/cold", cold.seconds,
+             {{"solves", solves},
+              {"pivots", static_cast<double>(cold.pivots)},
+              {"ms_per_solve", cold.seconds * 1e3 / solves}});
+    json.add(bname + "/warm", warm.seconds,
+             {{"solves", solves},
+              {"pivots", static_cast<double>(warm.pivots)},
+              {"ms_per_solve", warm.seconds * 1e3 / solves}});
+  }
+
+  // --- Section 3: network simplex on generated layered instances ---------
   struct Shape {
     const char* name;
     int layers, width, extra;
@@ -174,6 +265,7 @@ int main() {
     McfSolution sol;
     const int reps = p.num_nodes() <= 20000 ? 3 : 2;
     const double secs = time_best_of(reps, [&] {
+      ws.forget_basis();  // every repetition is a cold solve
       sol = solve_network_simplex(p, {}, &ws);
     });
     MFT_CHECK(sol.status == McfStatus::kOptimal);
@@ -206,5 +298,5 @@ int main() {
 
   if (!json.write("BENCH_flow_solvers.json"))
     std::fprintf(stderr, "warning: could not write BENCH_flow_solvers.json\n");
-  return pivots_ok ? 0 : 1;
+  return pivots_ok && warm_equals_cold ? 0 : 1;
 }

@@ -190,13 +190,15 @@ DualFlowLp::Result DualFlowLp::solve(FlowSolver solver, int cost_digits,
   res.solved = true;
   res.flow_cost = sol.total_cost;
 
-  // Optimal r: shift potentials so ground sits at exactly 0, then unscale.
-  const Cost base = sol.potential[static_cast<std::size_t>(w.ground)];
+  // Optimal r: the canonical optimal dual (ground = 0), unscaled. It is a
+  // function of the integerized LP alone, so every solver and every start
+  // basis yields the same r bit for bit.
+  canonicalize_potentials(w.problem, w.ground, sol);
   res.r.assign(static_cast<std::size_t>(num_vars_), 0.0);
   for (int v = 0; v < num_vars_; ++v) {
     const NodeId nv = w.node[static_cast<std::size_t>(v)];
     res.r[static_cast<std::size_t>(v)] =
-        static_cast<double>(sol.potential[static_cast<std::size_t>(nv)] - base) /
+        static_cast<double>(sol.potential[static_cast<std::size_t>(nv)]) /
         cost_scale;
   }
   for (const ObjTerm& t : obj_)

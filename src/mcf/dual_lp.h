@@ -9,7 +9,11 @@
 // Its dual is a min-cost network flow: each constraint becomes an
 // uncapacitated arc a→b of cost w_ab, each objective coefficient a node
 // supply, and all grounded variables collapse into one ground node. The
-// optimal node potentials of the flow are an optimal r.
+// optimal node potentials of the flow are an optimal r. Of the optimal r,
+// solve() returns the pointwise-maximal one with ground = 0
+// (canonicalize_potentials in mcf.h): a function of the integerized LP
+// alone, bit-identical across the three solvers and across warm and cold
+// starts of the network simplex.
 //
 // Costs and supplies are integerized by decimal scaling exactly as §2.3.1
 // prescribes; objective terms are added as ±pairs so supplies stay balanced
@@ -65,12 +69,14 @@ class DualFlowLp {
   struct Result {
     bool solved = false;        ///< false => flow infeasible (LP unbounded)
     McfStatus flow_status = McfStatus::kInfeasible;
-    std::vector<double> r;      ///< optimal variable values (grounded = 0)
+    std::vector<double> r;      ///< canonical optimal values (grounded = 0)
     double objective = 0.0;     ///< Σ c_k r_k at the optimum
     Cost flow_cost = 0;         ///< integerized flow cost (diagnostics)
   };
 
-  /// Reusable flow-problem skeleton + solver arena. See file comment.
+  /// Reusable flow-problem skeleton + solver arena. See file comment; the
+  /// arena also keeps the network simplex's last optimal basis, which the
+  /// next solve on the same structure starts from.
   struct Workspace {
     McfProblem problem{0};
     McfWorkspace mcf;

@@ -110,4 +110,23 @@ bool check_flow_optimal(const McfProblem& p, const McfSolution& sol,
 /// Recomputes Σ flow[a]·cost[a] in 128-bit arithmetic; checks it fits int64.
 Cost flow_cost(const McfProblem& p, const std::vector<Flow>& flow);
 
+/// The big-M cost A = (max|cost| + 1)(n + 1) of the network simplex's
+/// artificial arcs. Throws EngineError(kInvalidInput) when A exceeds
+/// INT64_MAX / 5. Every solver calls it before touching a cost, so all of
+/// them admit the same inputs; the bound keeps their duals (|π| < 2A, see
+/// network_simplex.cc and ssp.h) and canonicalize_potentials inside int64.
+Cost big_m_cost(const McfProblem& p);
+
+/// Replaces the potentials of an optimal `sol` of `p` by the canonical
+/// optimal dual: the pointwise maximum over all optimal potentials with
+/// potential[ground] = 0. The set of optimal potentials is the same for
+/// every optimal flow, so the result depends on `p` alone, not on the
+/// solver, its pivot rule or its start. A node the optimal face leaves
+/// unbounded above is capped at 2A (the face then meets potential <= 2A);
+/// nodes with a bounded maximum never reach the cap. Costs one Dijkstra over
+/// the optimal residual arcs, with the solver's potentials as Johnson
+/// potentials; requires |potential| < 2A, which every solver here meets.
+void canonicalize_potentials(const McfProblem& p, NodeId ground,
+                             McfSolution& sol);
+
 }  // namespace mft

@@ -22,30 +22,16 @@ enum Dir : int {
   kDirUp = 1,    // arc points node -> parent
 };
 
-// Cost of the big-M artificial arcs, A = (C + 1)(n + 1) with C the largest
-// |cost|: more than any simple path costs, so artificial flow is driven out
-// whenever the instance is feasible.
-//
-// Bound. A node's dual is the signed sum of the costs on its tree path from
-// the root. That path has exactly one artificial arc (the root touches
-// nothing else) and at most n - 1 user arcs, so |pi| <= A + (n - 1)C < 2A.
-// A reduced cost c - pi(tail) + pi(head), each of its partial sums, and the
-// dual shift of a pivot (a new dual minus an old one) then stay below
-// C + 4A < 5A in magnitude. A <= INT64_MAX / 5 therefore keeps every dual
-// and reduced cost inside int64; larger inputs are refused.
-Cost big_m_cost(Cost max_abs_cost, int num_nodes) {
-  Cost big_m = 0;
-  if (__builtin_add_overflow(max_abs_cost, Cost{1}, &big_m) ||
-      __builtin_mul_overflow(big_m, static_cast<Cost>(num_nodes) + 1,
-                             &big_m) ||
-      big_m > std::numeric_limits<Cost>::max() / 5)
-    throw EngineError(EngineStatus::kInvalidInput,
-                      "min-cost flow costs too large: max |cost| " +
-                          std::to_string(max_abs_cost) + " on " +
-                          std::to_string(num_nodes) +
-                          " nodes would overflow int64 duals");
-  return big_m;
-}
+// Duals stay inside int64. The big-M cost A = big_m_cost(p) of the
+// artificial arcs is more than any simple path costs, so artificial flow is
+// driven out whenever the instance is feasible. A node's dual is the signed
+// sum of the costs on its tree path from the root. That path has exactly
+// one artificial arc (the root touches nothing else) and at most n - 1 user
+// arcs, so |pi| <= A + (n - 1)C < 2A for C = max|cost|. A reduced cost
+// c - pi(tail) + pi(head), each of its partial sums, and the dual shift of
+// a pivot (a new dual minus an old one) then stay below C + 4A < 5A in
+// magnitude, and big_m_cost refuses A > INT64_MAX / 5. The bound holds for
+// any spanning tree, so it covers a warm start as well.
 
 // The solver proper. All state lives in the McfWorkspace so a caller that
 // keeps one across solves never reallocates; the class only binds
@@ -58,16 +44,21 @@ class Simplex {
         ws_(ws),
         n_(p.num_nodes()),
         root_(p.num_nodes()),
-        art_cost_(big_m_cost(p.max_abs_cost(), p.num_nodes())) {
+        art_cost_(big_m_cost(p)) {
     const int m_user = p.num_arcs();
     m_ = m_user + n_;  // user arcs + one artificial arc per node
     const std::size_t m = static_cast<std::size_t>(m_);
     const std::size_t nodes = static_cast<std::size_t>(n_ + 1);
+    // The kept basis serves only a problem of the same shape; it is claimed
+    // here and handed back by run() after an optimal solve, so a throw or a
+    // non-optimal outcome leaves the workspace cold.
+    bool warm = ws_.has_basis && ws_.arc.size() == m && ws_.pi.size() == nodes;
+    ws_.has_basis = false;
 
     ws_.arc.resize(m);
     ws_.cap.resize(m);
-    ws_.flow.assign(m, 0);
-    ws_.state.assign(m, kStateLower);
+    ws_.flow.resize(m);
+    ws_.state.resize(m);
     ws_.pi.resize(nodes);
     ws_.parent.resize(nodes);
     ws_.pred.resize(nodes);
@@ -79,8 +70,8 @@ class Simplex {
     // Raw-pointer views of the workspace arrays: no vector sizes change
     // after this point, and the pointers let the optimizer keep hot-loop
     // loads in registers instead of re-reading through the vector headers.
-    // Every entry a solve reads is written below, so nothing a previous
-    // solve left behind survives.
+    // A cold start writes every entry a solve reads; a warm start reads
+    // only the basis the last optimal solve left.
     arc_p_ = ws_.arc.data();
     cap_p_ = ws_.cap.data();
     flow_p_ = ws_.flow.data();
@@ -97,44 +88,11 @@ class Simplex {
 
     for (ArcId a = 0; a < m_user; ++a) {
       const McfArc& arc = p.arc(a);
+      warm &= arc_p_[a].tail == arc.tail && arc_p_[a].head == arc.head;
       arc_p_[a] = {arc.tail, arc.head, arc.cost};
       cap_p_[a] = arc.capacity;
     }
-
-    // Initial basis: a star of artificial arcs around the virtual root,
-    // oriented so each carries |supply(v)| of nonnegative flow; the root's
-    // child list is 0, 1, ..., n-1.
-    for (NodeId v = 0; v < n_; ++v) {
-      const Flow s = p.supply(v);
-      const ArcId a = static_cast<ArcId>(m_user + v);
-      if (s >= 0) {
-        arc_p_[a] = {v, root_, art_cost_};
-        flow_p_[a] = s;
-        pred_dir_p_[v] = kDirUp;
-        pi_p_[v] = art_cost_;
-      } else {
-        arc_p_[a] = {root_, v, art_cost_};
-        flow_p_[a] = -s;
-        pred_dir_p_[v] = kDirDown;
-        pi_p_[v] = -art_cost_;
-      }
-      cap_p_[a] = kInfFlow;
-      state_p_[a] = kStateTree;
-      parent_p_[v] = root_;
-      pred_p_[v] = a;
-      depth_p_[v] = 1;
-      first_child_p_[v] = kInvalidNode;
-      next_sibling_p_[v] = v + 1 < n_ ? v + 1 : kInvalidNode;
-      prev_sibling_p_[v] = v > 0 ? v - 1 : kInvalidNode;
-    }
-    pi_p_[root_] = 0;
-    parent_p_[root_] = kInvalidNode;
-    pred_p_[root_] = kInvalidArc;
-    pred_dir_p_[root_] = kDirDown;
-    depth_p_[root_] = 0;
-    first_child_p_[root_] = 0;
-    next_sibling_p_[root_] = kInvalidNode;
-    prev_sibling_p_[root_] = kInvalidNode;
+    if (!warm || !warm_start()) cold_start();
 
     list_size_ =
         opt.candidate_list_size > 0
@@ -176,10 +134,176 @@ class Simplex {
     sol.flow.assign(flow_p_, flow_p_ + p_.num_arcs());
     sol.potential.assign(pi_p_, pi_p_ + n_);
     sol.total_cost = flow_cost(p_, sol.flow);
+    ws_.has_basis = true;
     return sol;
   }
 
  private:
+  // Initial basis: a star of artificial arcs around the virtual root,
+  // oriented so each carries |supply(v)| of nonnegative flow; the root's
+  // child list is 0, 1, ..., n-1. Every user arc starts at its lower bound.
+  void cold_start() {
+    const int m_user = p_.num_arcs();
+    std::fill(flow_p_, flow_p_ + m_user, Flow{0});
+    std::fill(state_p_, state_p_ + m_user, int{kStateLower});
+    for (NodeId v = 0; v < n_; ++v) {
+      const Flow s = p_.supply(v);
+      const ArcId a = static_cast<ArcId>(m_user + v);
+      if (s >= 0) {
+        arc_p_[a] = {v, root_, art_cost_};
+        flow_p_[a] = s;
+        pred_dir_p_[v] = kDirUp;
+        pi_p_[v] = art_cost_;
+      } else {
+        arc_p_[a] = {root_, v, art_cost_};
+        flow_p_[a] = -s;
+        pred_dir_p_[v] = kDirDown;
+        pi_p_[v] = -art_cost_;
+      }
+      cap_p_[a] = kInfFlow;
+      state_p_[a] = kStateTree;
+      parent_p_[v] = root_;
+      pred_p_[v] = a;
+      depth_p_[v] = 1;
+      first_child_p_[v] = kInvalidNode;
+      next_sibling_p_[v] = v + 1 < n_ ? v + 1 : kInvalidNode;
+      prev_sibling_p_[v] = v > 0 ? v - 1 : kInvalidNode;
+    }
+    pi_p_[root_] = 0;
+    parent_p_[root_] = kInvalidNode;
+    pred_p_[root_] = kInvalidArc;
+    pred_dir_p_[root_] = kDirDown;
+    depth_p_[root_] = 0;
+    first_child_p_[root_] = 0;
+    next_sibling_p_[root_] = kInvalidNode;
+    prev_sibling_p_[root_] = kInvalidNode;
+  }
+
+  // Re-optimization start from the last optimal basis, whose problem had
+  // the same arcs; only costs, capacities and supplies moved. Keeps the
+  // spanning tree and the bound of every non-tree arc, recomputes the tree
+  // flows for the new supplies and repairs the tree where they are not
+  // strongly feasible, then recomputes duals and depths for the new costs.
+  // Returns false (and the caller starts cold) if a flow sum would
+  // overflow.
+  bool warm_start() {
+    const int m_user = p_.num_arcs();
+    // pi accumulates each node's excess: its supply, less what its non-tree
+    // arcs at the upper bound carry away. An uncapacitated arc cannot sit
+    // at its upper bound, so one left there by a capacity change drops to
+    // the lower bound.
+    for (NodeId v = 0; v < n_; ++v) pi_p_[v] = p_.supply(v);
+    pi_p_[root_] = 0;
+    for (ArcId a = 0; a < m_user; ++a) {
+      if (state_p_[a] != kStateUpper) continue;
+      const Flow c = cap_p_[a];
+      if (c >= kInfFlow) {
+        state_p_[a] = kStateLower;
+        flow_p_[a] = 0;
+        continue;
+      }
+      flow_p_[a] = c;
+      if (!add_flow(pi_p_[arc_p_[a].tail], -c) ||
+          !add_flow(pi_p_[arc_p_[a].head], c))
+        return false;
+    }
+    for (NodeId v = 0; v < n_; ++v) arc_p_[m_user + v].cost = art_cost_;
+
+    // Postorder, stackless: when v is finished, pi[v] is its subtree's
+    // excess, which its tree arc must carry to the parent.
+    NodeId v = root_;
+    while (first_child_p_[v] != kInvalidNode) v = first_child_p_[v];
+    while (v != root_) {
+      const NodeId next = next_sibling_p_[v];
+      const NodeId up = parent_p_[v];
+      if (!settle_tree_arc(v, up)) return false;
+      if (next == kInvalidNode) {
+        v = up;
+      } else {
+        v = next;
+        while (first_child_p_[v] != kInvalidNode) v = first_child_p_[v];
+      }
+    }
+
+    // Duals and depths top-down, in a stackless preorder.
+    pi_p_[root_] = 0;
+    depth_p_[root_] = 0;
+    v = first_child_p_[root_];
+    while (v != kInvalidNode) {
+      const NodeId up = parent_p_[v];
+      const Cost c = arc_p_[pred_p_[v]].cost;
+      pi_p_[v] = pred_dir_p_[v] == kDirUp ? pi_p_[up] + c : pi_p_[up] - c;
+      depth_p_[v] = depth_p_[up] + 1;
+      NodeId next = first_child_p_[v];
+      while (next == kInvalidNode && v != root_) {
+        next = next_sibling_p_[v];
+        v = parent_p_[v];
+      }
+      v = next;
+    }
+    return true;
+  }
+
+  // Gives v's tree arc the flow of v's subtree excess x = pi[v] and passes
+  // x on to the parent `up`. A strongly feasible tree arc can carry more
+  // flow toward the root: an up arc (v -> parent) needs 0 <= x < cap, a
+  // down arc (parent -> v) needs 0 < -x <= cap. A tree arc that fails this
+  // leaves the basis at flow 0. Its antiparallel twin takes its place when
+  // that twin is at its lower bound and fits. (The D-phase emits each
+  // vertex's two trust-region constraints back to back, so a twin sits at
+  // arc a ^ 1.) Otherwise v's subtree re-hangs from the root by its
+  // artificial arc, oriented by the sign of x, and x leaves through it.
+  bool settle_tree_arc(NodeId v, NodeId up) {
+    const Flow x = pi_p_[v];
+    if (x == std::numeric_limits<Flow>::min()) return false;
+    const ArcId e = pred_p_[v];
+    if (up != root_) {
+      if (fits(e, pred_dir_p_[v], x)) {
+        flow_p_[e] = x < 0 ? -x : x;
+        return add_flow(pi_p_[up], x);
+      }
+      state_p_[e] = kStateLower;
+      flow_p_[e] = 0;
+      const ArcId twin = e ^ 1;
+      const int twin_dir = pred_dir_p_[v] == kDirUp ? kDirDown : kDirUp;
+      if (twin < p_.num_arcs() && state_p_[twin] == kStateLower &&
+          arc_p_[twin].tail == arc_p_[e].head &&
+          arc_p_[twin].head == arc_p_[e].tail && fits(twin, twin_dir, x)) {
+        state_p_[twin] = kStateTree;
+        flow_p_[twin] = x < 0 ? -x : x;
+        pred_p_[v] = twin;
+        pred_dir_p_[v] = twin_dir;
+        return add_flow(pi_p_[up], x);
+      }
+      unlink_child(v, up);
+      link_child(v, root_);
+      parent_p_[v] = root_;
+      pred_p_[v] = static_cast<ArcId>(p_.num_arcs() + v);
+    }
+    const ArcId art = pred_p_[v];
+    state_p_[art] = kStateTree;
+    if (x >= 0) {
+      arc_p_[art].tail = v;
+      arc_p_[art].head = root_;
+      pred_dir_p_[v] = kDirUp;
+      flow_p_[art] = x;
+    } else {
+      arc_p_[art].tail = root_;
+      arc_p_[art].head = v;
+      pred_dir_p_[v] = kDirDown;
+      flow_p_[art] = -x;
+    }
+    return true;
+  }
+
+  bool fits(ArcId e, int dir, Flow x) const {
+    return dir == kDirUp ? x >= 0 && x < cap_p_[e] : x < 0 && -x <= cap_p_[e];
+  }
+
+  static bool add_flow(Flow& acc, Flow x) {
+    return !__builtin_add_overflow(acc, x, &acc);
+  }
+
   // state * reduced_cost < 0 means the arc profitably enters the basis;
   // the reduced cost follows the dual contract of mcf.h.
   Cost violation(ArcId a) const {
@@ -439,7 +563,10 @@ McfSolution solve_network_simplex(const McfProblem& p,
                                   McfWorkspace* ws) {
   MFT_FAULT_POINT("flow.solve");
   if (p.num_nodes() == 0) {
-    if (ws) ws->ns_pivots = 0;
+    if (ws) {
+      ws->ns_pivots = 0;
+      ws->forget_basis();
+    }
     McfSolution sol;
     sol.status = McfStatus::kOptimal;
     return sol;

@@ -19,6 +19,22 @@
 //    packed {tail, head, cost} record per arc over two linear ranges.
 //  - All solver state can live in a caller-owned McfWorkspace so repeated
 //    solves (100 D-phase iterations on one netlist) never reallocate.
+//  - Warm start. A workspace keeps the last optimal basis, and a solve of a
+//    problem with the same nodes and arc endpoints starts from it instead
+//    of the big-M star (workspace.h says when). Tree flows are recomputed
+//    bottom-up for the new supplies and duals top-down for the new costs.
+//    The leaving-arc tie-break prevents cycling only from a strongly
+//    feasible tree, one where every tree arc can carry more flow toward the
+//    root; a tree arc that now needs negative flow, or zero flow on an arc
+//    pointing away from the root, breaks that. Such an arc is swapped for
+//    its antiparallel twin at arc id a ^ 1 (the D-phase emits each vertex's
+//    two trust-region constraints back to back) when that twin is free,
+//    else its subtree re-hangs from the root by its artificial arc. A
+//    c6288 job at 0.6 Dmin takes 126,846 pivots this way, against 521,222
+//    from cold starts and 188,471 with re-hanging alone. Warm trees are
+//    deep, so a pivot moves larger subtrees and walks longer cycles: on
+//    the traced table1 benchmark a pivot costs 5.7 us warm against 3.0 us
+//    cold.
 //
 // All arithmetic is exact int64 (the D-phase integerizes its costs by
 // power-of-ten scaling per §2.3.1 before calling this). Costs too large for
@@ -43,9 +59,12 @@ struct NetworkSimplexOptions {
 
 /// Solves `p` to optimality. Returns flows, total cost, and node potentials
 /// satisfying the contract documented in mcf.h. If `ws` is non-null, all
-/// solver arrays live in (and are reused from) the workspace;
-/// `ws->ns_pivots` reports the pivot count of this run and
-/// `ws->ns_pivots_total` accumulates it.
+/// solver arrays live in (and are reused from) the workspace, the solve
+/// warm-starts from the basis it kept (see above), and an optimal solve
+/// leaves its basis there; `ws->ns_pivots` reports the pivot count of this
+/// run and `ws->ns_pivots_total` accumulates it. Which optimal flow and
+/// potentials come back can depend on the start basis;
+/// canonicalize_potentials (mcf.h) removes that dependence from the duals.
 McfSolution solve_network_simplex(const McfProblem& p,
                                   const NetworkSimplexOptions& opt = {},
                                   McfWorkspace* ws = nullptr);

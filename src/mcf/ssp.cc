@@ -122,6 +122,7 @@ McfSolution extract(const McfProblem& p, const Residual& r,
 }
 
 McfSolution run_ssp(const McfProblem& p, McfWorkspace& ws) {
+  big_m_cost(p);  // the cost bound every solver shares (mcf.h)
   McfSolution fail;
   ws.ssp_augmentations = 0;
   if (p.total_supply() != 0) {
@@ -203,6 +204,9 @@ McfSolution run_ssp(const McfProblem& p, McfWorkspace& ws) {
       ++ws.ssp_augmentations;
     }
   }
+  // Johnson potentials of nodes no search reached grow by every dt; report
+  // Bellman–Ford potentials of the optimal residual network instead.
+  bellman_ford(r, n, pi, nullptr, ws);
   return extract(p, r, pi);
 }
 
@@ -218,6 +222,7 @@ McfSolution solve_ssp(const McfProblem& p) {
 }
 
 McfSolution solve_cycle_canceling(const McfProblem& p) {
+  big_m_cost(p);  // the cost bound every solver shares (mcf.h)
   McfSolution fail;
   if (p.total_supply() != 0) {
     fail.status = McfStatus::kInfeasible;

@@ -9,8 +9,11 @@
 //  - solve_cycle_canceling: Klein's algorithm — establish any feasible flow,
 //    then cancel Bellman–Ford negative cycles until optimal.
 //
-// Both return solutions satisfying the same dual contract as the network
-// simplex (see mcf.h), so check_flow_optimal() applies uniformly.
+// Both refuse the costs the network simplex refuses (big_m_cost in mcf.h)
+// and return solutions satisfying the same dual contract (see mcf.h), so
+// check_flow_optimal() applies uniformly. Their potentials are Bellman–Ford
+// distances of the optimal residual network, |π| <= (n − 1)·max|cost|,
+// inside the bound canonicalize_potentials relies on.
 #pragma once
 
 #include "mcf/mcf.h"

@@ -7,11 +7,16 @@
 // A caller that owns an McfWorkspace across calls pays the allocation once;
 // subsequent solves only overwrite.
 //
-// The workspace is plain data: no invariants survive between solves except
-// vector capacity (and the stats). Every solve rebuilds each array it reads
-// over its own node and arc counts, so a workspace may serve problems of
-// any size in any order. Passing nullptr everywhere keeps the old
-// allocate-per-call behavior.
+// One invariant survives between solves: after an optimal network-simplex
+// solve the basis arrays hold its optimal basis and `has_basis` is set. The
+// next network-simplex solve starts from that basis (see network_simplex.h)
+// when its problem has the same node count, arc count and arc endpoints;
+// costs, capacities and supplies may all differ. Any other problem, a
+// non-optimal outcome or a throw leaves the next solve cold, from the big-M
+// star, as does forget_basis(). Everything else is plain data that every
+// solve rebuilds over its own node and arc counts, so a workspace may serve
+// problems of any size in any order. Passing nullptr everywhere keeps the
+// old allocate-per-call behavior, always cold.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +65,14 @@ struct McfWorkspace {
   std::vector<Cost> dist, johnson_pi;
   std::vector<int> pred_arc;
   std::vector<char> settled;
+
+  /// The basis arrays hold the last solve's optimal basis (see above).
+  bool has_basis = false;
+
+  /// Makes the next network-simplex solve start cold. SizingContext calls
+  /// it at every job start, so a job's pivots never depend on the job that
+  /// ran before it on a pooled context.
+  void forget_basis() { has_basis = false; }
 
   // --- Stats --------------------------------------------------------------
   std::int64_t ns_pivots = 0;         ///< network-simplex pivots, last solve

@@ -100,10 +100,17 @@ class SizingContext {
   bool fast_math() const { return fast_math_; }
 
   /// Marks the start of a new job on a reused context: zeroes all
-  /// instrumentation so per-job stats are not polluted by earlier jobs.
-  /// Cached solver state (LP structure, flow arena, last-sizes vector) is
-  /// kept — that reuse is the point of pooling contexts.
-  void begin_job() { reset_instrumentation(); }
+  /// instrumentation so per-job stats are not polluted by earlier jobs, and
+  /// forgets the flow solver's last optimal basis, so the job's first
+  /// D-phase solve starts cold and its pivots and wall time never depend on
+  /// the job that ran before it. Later solves of the job warm-start from
+  /// their predecessor. Cached solver state (LP structure, flow arena,
+  /// last-sizes vector) is kept — that reuse is the point of pooling
+  /// contexts.
+  void begin_job() {
+    reset_instrumentation();
+    dphase_.flow.mcf.forget_basis();
+  }
 
   /// Zero the STA/flow instrumentation counters (see begin_job()).
   void reset_instrumentation();

@@ -74,7 +74,9 @@ DPhaseResult run_dphase(const SizingNetwork& net,
     // self-loading floor so the W-phase SMP stays solvable.
     const double max_dd = opt.beta * d;
     const double min_dd = -std::min(opt.beta * d, 0.95 * (d - a_self));
-    // FSDU(i→Dmy(i)) = 0 under both canonical schedules.
+    // FSDU(i→Dmy(i)) = 0 under both canonical schedules. The pair stays
+    // back to back: it becomes flow arcs 2k and 2k + 1, where the network
+    // simplex's warm start looks up a tree arc's antiparallel twin.
     constraint(var_dmy + v, v, max_dd);   // δd_v <= MAXΔD
     constraint(v, var_dmy + v, -min_dd);  // δd_v >= MINΔD
     objective(var_dmy + v, v, weights[static_cast<std::size_t>(v)]);

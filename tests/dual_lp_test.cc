@@ -92,6 +92,10 @@ TEST(DualFlowLp, ReturnedSolutionNeverViolatesTrueConstraints) {
   }
 }
 
+// r is the canonical optimal dual, a function of the LP alone: the three
+// solvers reach it bit for bit from different optimal flows and potentials.
+// Variables without an objective term have a range of optimal values, so
+// the solvers' own duals differ there.
 TEST(DualFlowLp, AllThreeFlowSolversAgreeOnObjective) {
   Rng rng(99);
   for (int trial = 0; trial < 20; ++trial) {
@@ -107,20 +111,27 @@ TEST(DualFlowLp, AllThreeFlowSolversAgreeOnObjective) {
       if (a != b) lp.add_constraint(a, b, rng.uniform(0.0, 6.0));
     }
     for (int v = 1; v < n; ++v)
-      lp.add_objective_difference(v, v - 1, rng.uniform(0.1, 2.0));
+      if (rng.flip(0.5))
+        lp.add_objective_difference(v, v - 1, rng.uniform(0.1, 2.0));
     auto ns = lp.solve(FlowSolver::kNetworkSimplex);
     auto ssp = lp.solve(FlowSolver::kSsp);
     auto cc = lp.solve(FlowSolver::kCycleCanceling);
     ASSERT_TRUE(ns.solved);
     ASSERT_TRUE(ssp.solved);
     ASSERT_TRUE(cc.solved);
-    EXPECT_NEAR(ns.objective, ssp.objective, 1e-6) << "trial " << trial;
-    EXPECT_NEAR(ns.objective, cc.objective, 1e-6) << "trial " << trial;
+    EXPECT_EQ(ns.r, ssp.r) << "trial " << trial;
+    EXPECT_EQ(ns.r, cc.r) << "trial " << trial;
+    EXPECT_EQ(ns.objective, ssp.objective) << "trial " << trial;
+    EXPECT_EQ(ns.objective, cc.objective) << "trial " << trial;
+    EXPECT_EQ(ns.flow_cost, ssp.flow_cost) << "trial " << trial;
+    EXPECT_EQ(ns.flow_cost, cc.flow_cost) << "trial " << trial;
   }
 }
 
 // The decisive test: the flow-dual optimum must equal the optimum computed
-// by a dense simplex with a completely independent implementation.
+// by a dense simplex with a completely independent implementation, and each
+// r_v must be the largest value r_v takes over the optimal face (the dense
+// simplex maximizes it with the objective held at its optimum).
 TEST(DualFlowLp, MatchesDenseSimplexOracleOnRandomInstances) {
   Rng rng(31337);
   for (int trial = 0; trial < 25; ++trial) {
@@ -163,6 +174,33 @@ TEST(DualFlowLp, MatchesDenseSimplexOracleOnRandomInstances) {
     ASSERT_TRUE(lp_res.has_value()) << "trial " << trial;
     EXPECT_NEAR(flow_res.objective, lp_res->objective, 1e-6)
         << "trial " << trial;
+
+    for (int v = 1; v < n; ++v) {
+      DenseLp face = oracle;
+      std::vector<double> row(static_cast<std::size_t>(n));
+      for (int k = 0; k < n; ++k) {
+        row[static_cast<std::size_t>(k)] = -c[static_cast<std::size_t>(k)];
+        face.set_objective(k, k == v ? 1.0 : 0.0);
+      }
+      face.add_row(row, -(lp_res->objective - 1e-9));
+      const auto top = face.solve();
+      ASSERT_TRUE(top.has_value()) << "trial " << trial << " var " << v;
+      EXPECT_NEAR(flow_res.r[static_cast<std::size_t>(v)], top->objective,
+                  1e-6)
+          << "trial " << trial << " var " << v;
+    }
+  }
+}
+
+void expect_refused(const DualFlowLp& lp) {
+  for (FlowSolver solver : {FlowSolver::kNetworkSimplex, FlowSolver::kSsp,
+                            FlowSolver::kCycleCanceling}) {
+    try {
+      lp.solve(solver);
+      ADD_FAILURE() << "expected EngineError for " << to_string(solver);
+    } catch (const EngineError& e) {
+      EXPECT_EQ(e.status(), EngineStatus::kInvalidInput) << e.what();
+    }
   }
 }
 
@@ -172,20 +210,9 @@ TEST(DualFlowLp, RefusesValuesTooLargeForIntegerScaling) {
   const int bound = lp.add_constraint(1, 0, 1e30);
   lp.add_constraint(2, 1, 1.0);
   const int term = lp.add_objective_difference(2, 0, 1.0);
-  const auto expect_refused = [&lp] {
-    for (FlowSolver solver : {FlowSolver::kNetworkSimplex, FlowSolver::kSsp,
-                              FlowSolver::kCycleCanceling}) {
-      try {
-        lp.solve(solver);
-        ADD_FAILURE() << "expected EngineError for " << to_string(solver);
-      } catch (const EngineError& e) {
-        EXPECT_EQ(e.status(), EngineStatus::kInvalidInput) << e.what();
-      }
-    }
-  };
-  expect_refused();
+  expect_refused(lp);
   lp.set_constraint_bound(bound, -1e30);
-  expect_refused();
+  expect_refused(lp);
 
   lp.set_constraint_bound(bound, 2.0);
   const DualFlowLp::Result r = lp.solve();
@@ -193,7 +220,20 @@ TEST(DualFlowLp, RefusesValuesTooLargeForIntegerScaling) {
   EXPECT_NEAR(r.objective, 3.0, kTol);
 
   lp.set_objective_coeff(term, 1e30);
-  expect_refused();
+  expect_refused(lp);
+
+  // Each bound scales to -4e18, inside the 2^62 scaling guard, but the
+  // flow costs are past what any solver's duals can hold on five nodes; a
+  // path of three of them overflowed the Bellman–Ford of SSP and
+  // cycle-canceling before they shared the network simplex's bound.
+  DualFlowLp chain(5);
+  chain.fix_zero(0);
+  chain.add_constraint(1, 2, -4e14);
+  chain.add_constraint(2, 3, -4e14);
+  chain.add_constraint(3, 4, -4e14);
+  chain.add_constraint(4, 0, 0.0);
+  chain.add_objective_difference(1, 0, 1.0);
+  expect_refused(chain);
 }
 
 }  // namespace

@@ -339,6 +339,24 @@ TEST(Context, PivotCountCoversEveryDPhaseSolveOfTheJob) {
   EXPECT_EQ(ctx.stats().ns_pivots, 0);
 }
 
+// begin_job() forgets the flow solver's basis: a job on a reused context
+// starts cold, so it pivots exactly as often as on a fresh context.
+TEST(Context, ReusedContextPivotsLikeAFreshOne) {
+  Netlist nl = make_ripple_adder(8);
+  LoweredCircuit lc = lower(nl);
+  const double dmin = min_sized_delay(lc.net);
+  SizingContext reused(lc.net);
+  run_minflotransit(reused, 0.5 * dmin);
+  ASSERT_TRUE(reused.dphase().flow.mcf.has_basis);
+  reused.begin_job();
+  const MinflotransitResult second = run_minflotransit(reused, 0.6 * dmin);
+  SizingContext fresh(lc.net);
+  const MinflotransitResult first = run_minflotransit(fresh, 0.6 * dmin);
+  expect_bit_identical(first, second);
+  EXPECT_GT(fresh.stats().ns_pivots, 0);
+  EXPECT_EQ(reused.stats().ns_pivots, fresh.stats().ns_pivots);
+}
+
 TEST(Context, ContextRunsAreBitIdenticalToFreshRuns) {
   Netlist nl = make_mux_tree(4);
   LoweredCircuit lc = lower(nl);

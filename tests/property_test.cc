@@ -233,6 +233,17 @@ TEST(CrossSolverAgreement, AllSolversAndTheDenseDualAgree) {
     std::string why;
     EXPECT_TRUE(check_flow_optimal(p, ns, &why)) << "seed " << seed << ": " << why;
 
+    // Canonical duals are a function of p alone: exact across solvers, and
+    // still optimal against each solver's own flow.
+    McfSolution canon[] = {ns, ssp, cc};
+    for (McfSolution& c : canon) {
+      canonicalize_potentials(p, 0, c);
+      EXPECT_TRUE(check_flow_optimal(p, c, &why)) << "seed " << seed << ": "
+                                                  << why;
+    }
+    EXPECT_EQ(canon[0].potential, canon[1].potential) << "seed " << seed;
+    EXPECT_EQ(canon[0].potential, canon[2].potential) << "seed " << seed;
+
     bool lp_solved = false;
     const double dual = dense_dual_objective(p, &lp_solved);
     ASSERT_TRUE(lp_solved) << "seed " << seed;

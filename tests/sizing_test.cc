@@ -9,6 +9,7 @@
 #include "gen/blocks.h"
 #include "gen/iscas_analog.h"
 #include "sizing/minflotransit.h"
+#include "sizing/pass.h"
 #include "sizing/tradeoff.h"
 #include "timing/lowering.h"
 #include "util/abort.h"
@@ -482,6 +483,56 @@ TEST(TilosReferenceSlow, MatchesOnLargestCircuits) {
   }
   SCOPED_TRACE("rnd4000");
   expect_tilos_matches_reference(random_logic(4000));
+}
+
+// The D/W passes run one by one on two contexts from one TILOS seed. The
+// warm one runs as the pipeline does, each D-phase solve starting from the
+// previous optimal basis; the cold one forgets the basis before every
+// DPhasePass::run. Canonical duals make every iterate bit-identical, and the
+// warm run must pivot less.
+void expect_warm_dw_passes_match_cold(const Netlist& nl, double ratio) {
+  const LoweredCircuit lc = lower(nl);
+  const MinflotransitOptions opt;
+  SizingContext warm(lc.net);
+  SizingContext cold(lc.net);
+  PipelineState ws;
+  ws.target_delay = ratio * min_sized_delay(lc.net);
+  ASSERT_EQ(TilosPass(opt.tilos).run(warm, ws), PassStatus::kDone);
+  ASSERT_EQ(WPhasePass().run(warm, ws), PassStatus::kDone);
+  PipelineState cs = ws;
+  DPhasePass dphase(opt.dphase, opt.rel_improvement_stop, opt.patience,
+                    opt.max_beta_backoffs);
+  dphase.begin(warm, ws);
+  dphase.begin(cold, cs);
+  int passes = 0;
+  for (; passes < opt.max_iterations; ++passes) {
+    SCOPED_TRACE("D/W pass " + std::to_string(passes));
+    const PassStatus w = dphase.run(warm, ws);
+    cold.dphase().flow.mcf.forget_basis();
+    const PassStatus c = dphase.run(cold, cs);
+    ASSERT_EQ(w, c);
+    ASSERT_EQ(ws.sizes, cs.sizes);
+    ASSERT_EQ(ws.best_area, cs.best_area);
+    ASSERT_EQ(ws.beta, cs.beta);
+    if (w != PassStatus::kRepeat) break;
+  }
+  EXPECT_GE(passes, 2);
+  EXPECT_EQ(ws.best_sizes, cs.best_sizes);
+  EXPECT_LT(warm.stats().ns_pivots, cold.stats().ns_pivots);
+}
+
+TEST(DPhaseWarmStart, PassByPassBitIdenticalToColdSolves) {
+  for (const char* name : {"c880", "c1908"}) {
+    SCOPED_TRACE(name);
+    expect_warm_dw_passes_match_cold(make_iscas_analog(name), 0.6);
+  }
+  SCOPED_TRACE("rnd1000");
+  expect_warm_dw_passes_match_cold(random_logic(1000), 0.6);
+}
+
+// Registered under the slow label only (see CMakeLists.txt).
+TEST(DPhaseWarmStartSlow, PassByPassBitIdenticalOnC6288) {
+  expect_warm_dw_passes_match_cold(make_iscas_analog("c6288"), 0.6);
 }
 
 }  // namespace

@@ -608,6 +608,216 @@ TEST(NetworkSimplexReference, BitIdenticalToReferenceSolver) {
   EXPECT_GT(pivots, 4000);
 }
 
+// ---------------------------------------------------------------------------
+// Warm start: one workspace solves a sequence of problems on one topology,
+// starting each solve from the previous optimal basis. Every answer must
+// match a cold solve: status, cost, optimality, and the canonical duals bit
+// for bit. A failed solve, or a same-size problem with one arc moved, must
+// start cold, which shows as a solve identical to the cold one in pivots,
+// flows and raw potentials.
+// ---------------------------------------------------------------------------
+
+// `base` with a third of its costs redrawn (nonnegative on uncapacitated
+// arcs, so no unbounded cycle appears) and fresh supplies: the imbalance of
+// a random flow within capacity, so the instance stays feasible.
+McfProblem redraw(const McfProblem& base, Rng& rng) {
+  McfProblem p(base.num_nodes());
+  for (const McfArc& a : base.arcs()) {
+    const bool uncapacitated = a.capacity == kInfFlow;
+    const Cost cost = rng.flip(1.0 / 3)
+                          ? rng.uniform_int(uncapacitated ? 0 : -200, 1000)
+                          : a.cost;
+    p.add_arc(a.tail, a.head, a.capacity, cost);
+  }
+  for (const McfArc& a : p.arcs()) {
+    const Flow f =
+        rng.uniform_int(0, static_cast<int>(std::min<Flow>(a.capacity, 15)));
+    p.add_supply(a.tail, f);
+    p.add_supply(a.head, -f);
+  }
+  return p;
+}
+
+enum class Turn { kFeasible, kInfeasible, kUnbounded };
+
+// `p` plus two nodes on fixed arcs: x on an uncapacitated cycle with node 0,
+// y with one arc into node 0. Only costs and supplies pick the outcome: a
+// negative cycle through x, or a demand at y that no arc can serve.
+McfProblem with_turn_arcs(const McfProblem& p, Turn turn) {
+  const NodeId x = p.num_nodes();
+  const NodeId y = x + 1;
+  McfProblem q(p.num_nodes() + 2);
+  for (const McfArc& a : p.arcs())
+    q.add_arc(a.tail, a.head, a.capacity, a.cost);
+  for (NodeId v = 0; v < p.num_nodes(); ++v) q.set_supply(v, p.supply(v));
+  q.add_arc(0, x, kInfFlow, turn == Turn::kUnbounded ? -7 : 4);
+  q.add_arc(x, 0, kInfFlow, 2);
+  q.add_arc(y, 0, kInfFlow, 5);
+  if (turn == Turn::kInfeasible) {
+    q.add_supply(y, -3);
+    q.add_supply(0, 3);
+  }
+  return q;
+}
+
+// Solves `p` through `ws` (warm when it kept a basis) and cold, and checks
+// the warm answer. Returns the warm and cold pivot counts.
+std::pair<std::int64_t, std::int64_t> expect_warm_matches_cold(
+    const McfProblem& p, McfWorkspace& ws, bool must_be_cold) {
+  const McfSolution warm = solve_network_simplex(p, {}, &ws);
+  McfWorkspace cold_ws;
+  McfSolution cold = solve_network_simplex(p, {}, &cold_ws);
+  EXPECT_EQ(warm.status, cold.status);
+  EXPECT_EQ(ws.has_basis, cold.status == McfStatus::kOptimal);
+  if (must_be_cold) {
+    EXPECT_EQ(ws.ns_pivots, cold_ws.ns_pivots);
+    EXPECT_EQ(warm.flow, cold.flow);
+    EXPECT_EQ(warm.potential, cold.potential);
+  }
+  if (cold.status == McfStatus::kOptimal && warm.status == cold.status) {
+    EXPECT_EQ(warm.total_cost, cold.total_cost);
+    std::string why;
+    EXPECT_TRUE(check_flow_optimal(p, warm, &why)) << why;
+    McfSolution canonical = warm;
+    canonicalize_potentials(p, 0, canonical);
+    canonicalize_potentials(p, 0, cold);
+    EXPECT_EQ(canonical.potential, cold.potential);
+    EXPECT_TRUE(check_flow_optimal(p, canonical, &why)) << why;
+  }
+  return {ws.ns_pivots, cold_ws.ns_pivots};
+}
+
+TEST(WarmStart, RandomSequencesThroughFailuresMatchColdSolves) {
+  int outcomes[3] = {0, 0, 0};
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 7919);
+    const McfProblem base = random_problem(seed);
+    McfWorkspace ws;
+    bool after_failure = true;  // the first solve is cold
+    for (int step = 0; step < 12; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const Turn turn = step % 5 == 3   ? Turn::kUnbounded
+                        : step % 7 == 5 ? Turn::kInfeasible
+                                        : Turn::kFeasible;
+      const McfProblem p = with_turn_arcs(redraw(base, rng), turn);
+      expect_warm_matches_cold(p, ws, after_failure);
+      after_failure = !ws.has_basis;
+      ++outcomes[static_cast<int>(turn)];
+    }
+  }
+  EXPECT_GT(outcomes[static_cast<int>(Turn::kInfeasible)], 0);
+  EXPECT_GT(outcomes[static_cast<int>(Turn::kUnbounded)], 0);
+}
+
+TEST(WarmStart, LargeSequencesMatchColdSolvesAndPivotLess) {
+  RandomLogicParams prm;
+  prm.num_inputs = 32;
+  prm.num_gates = 1000;
+  prm.seed = 1;
+  const std::vector<std::pair<std::string, McfProblem>> bases = {
+      {"layered", layered_problem(42, 100, 20)},
+      {"c880", dphase_problem(make_iscas_analog("c880"))},
+      {"c1908", dphase_problem(make_iscas_analog("c1908"))},
+      {"rnd1000", dphase_problem(make_random_logic(prm))},
+  };
+  for (const auto& [name, base] : bases) {
+    SCOPED_TRACE(name);
+    Rng rng(2024);
+    McfWorkspace ws;
+    std::int64_t warm_pivots = 0;
+    std::int64_t cold_pivots = 0;
+    McfProblem p = base;
+    for (int step = 0; step < 6; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      bool moved = false;
+      if (step == 4) {
+        // Same node and arc counts, one head moved: the kept basis belongs
+        // to another topology and must not be used.
+        McfProblem q(p.num_nodes());
+        for (ArcId a = 0; a < p.num_arcs(); ++a) {
+          McfArc arc = p.arc(a);
+          if (a == p.num_arcs() / 2) {
+            arc.head = (arc.head + 1) % p.num_nodes();
+            if (arc.head == arc.tail) arc.head = (arc.head + 1) % p.num_nodes();
+          }
+          q.add_arc(arc.tail, arc.head, arc.capacity, arc.cost);
+        }
+        p = redraw(q, rng);  // fresh supplies keep it feasible
+        moved = true;
+      } else if (step > 0) {
+        p = redraw(p, rng);
+      }
+      ASSERT_EQ(ws.has_basis, step > 0);
+      const auto [warm, cold] =
+          expect_warm_matches_cold(p, ws, step == 0 || moved);
+      if (step > 0 && !moved) {
+        warm_pivots += warm;
+        cold_pivots += cold;
+      }
+    }
+    EXPECT_LT(warm_pivots, cold_pivots);
+  }
+}
+
+// The D-phase path end to end: a warm DualFlowLp workspace and one forgotten
+// before every solve return the same budgets bit for bit over a sequence of
+// iterates, and the warm one's raw flow solution is optimal.
+TEST(WarmStart, DPhaseBudgetsMatchColdSolves) {
+  RandomLogicParams prm;
+  prm.num_inputs = 32;
+  prm.num_gates = 1000;
+  prm.seed = 1;
+  const std::vector<std::pair<std::string, Netlist>> circuits = {
+      {"c880", make_iscas_analog("c880")},
+      {"c1908", make_iscas_analog("c1908")},
+      {"rnd1000", make_random_logic(prm)},
+  };
+  for (const auto& [name, nl] : circuits) {
+    SCOPED_TRACE(name);
+    const LoweredCircuit lc = lower_gate_level(nl, Tech{});
+    std::vector<double> sizes =
+        run_tilos(lc.net, 0.7 * min_sized_delay(lc.net)).sizes;
+    DPhaseWorkspace warm;
+    DPhaseWorkspace cold;
+    Rng rng(5);
+    std::int64_t warm_pivots = 0;
+    std::int64_t cold_pivots = 0;
+    for (int iter = 0; iter < 5; ++iter) {
+      SCOPED_TRACE("iteration " + std::to_string(iter));
+      DPhaseOptions opt;
+      opt.beta = iter % 2 == 0 ? 0.25 : 0.125;
+      const DPhaseResult w = run_dphase(lc.net, sizes, opt, &warm);
+      cold.flow.mcf.forget_basis();
+      const DPhaseResult c = run_dphase(lc.net, sizes, opt, &cold);
+      ASSERT_TRUE(w.solved);
+      ASSERT_TRUE(c.solved);
+      EXPECT_EQ(w.budget, c.budget);
+      EXPECT_EQ(w.objective, c.objective);
+      EXPECT_EQ(w.num_moved, c.num_moved);
+      const McfProblem& p = warm.flow.problem;
+      McfSolution raw;
+      raw.status = McfStatus::kOptimal;
+      raw.flow.assign(warm.flow.mcf.flow.begin(),
+                      warm.flow.mcf.flow.begin() + p.num_arcs());
+      raw.potential.assign(warm.flow.mcf.pi.begin(),
+                           warm.flow.mcf.pi.begin() + p.num_nodes());
+      raw.total_cost = flow_cost(p, raw.flow);
+      std::string why;
+      EXPECT_TRUE(check_flow_optimal(p, raw, &why)) << why;
+      if (iter > 0) {
+        warm_pivots += warm.flow.mcf.ns_pivots;
+        cold_pivots += cold.flow.mcf.ns_pivots;
+      }
+      // Move a tenth of the sizes for the next iterate.
+      for (NodeId v = 0; v < lc.net.num_vertices(); ++v)
+        if (!lc.net.is_source(v) && rng.flip(0.1))
+          sizes[static_cast<std::size_t>(v)] *= rng.uniform(1.0, 1.2);
+    }
+    EXPECT_LT(warm_pivots, cold_pivots);
+  }
+}
+
 class DPhaseWorkspaceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -624,8 +834,11 @@ class DPhaseWorkspaceTest : public ::testing::Test {
   TilosResult tilos_;
 };
 
+// The reused workspace warm-starts every solve after the first; canonical
+// duals make its answers bit-identical to cold solves all the same.
 TEST_F(DPhaseWorkspaceTest, RepeatedCallsBuildTheProblemOnce) {
   DPhaseWorkspace ws;
+  DPhaseWorkspace cold;
   Rng rng(99);
   std::vector<double> sizes = tilos_.sizes;
   for (int iter = 0; iter < 8; ++iter) {
@@ -634,10 +847,15 @@ TEST_F(DPhaseWorkspaceTest, RepeatedCallsBuildTheProblemOnce) {
     ASSERT_TRUE(with_ws.solved);
     ASSERT_TRUE(fresh.solved);
     EXPECT_EQ(with_ws.num_constraints, fresh.num_constraints);
-    EXPECT_NEAR(with_ws.objective, fresh.objective, 1e-9);
-    ASSERT_EQ(with_ws.budget.size(), fresh.budget.size());
-    for (std::size_t v = 0; v < fresh.budget.size(); ++v)
-      EXPECT_NEAR(with_ws.budget[v], fresh.budget[v], 1e-12) << "vertex " << v;
+    EXPECT_EQ(with_ws.objective, fresh.objective);
+    EXPECT_EQ(with_ws.budget, fresh.budget);
+    cold.flow.mcf.forget_basis();
+    ASSERT_TRUE(run_dphase(lc_.net, sizes, {}, &cold).solved);
+    if (iter == 0)
+      EXPECT_EQ(ws.flow.mcf.ns_pivots, cold.flow.mcf.ns_pivots);
+    else
+      EXPECT_LT(ws.flow.mcf.ns_pivots, cold.flow.mcf.ns_pivots)
+          << "iteration " << iter;
     // Perturb some sizes so the next iteration solves a different LP on
     // the same structure.
     for (int k = 0; k < 10; ++k) {
