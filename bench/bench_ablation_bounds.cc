@@ -15,7 +15,7 @@ using namespace mft::bench;
 int main() {
   std::printf("Ablation: D-phase trust bound beta\n\n");
   for (const std::string& name : {std::string("c880"), std::string("c1355")}) {
-    const Netlist nl = load_circuit(name);
+    const Netlist nl = make_named_circuit(name);
     const LoweredCircuit lc = lower_gate_level(nl, Tech{});
     const CalibratedTarget cal = calibrate_target(lc.net);
     Table t({"beta", "savings", "iterations", "time", "final area"});

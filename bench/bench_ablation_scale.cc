@@ -16,7 +16,7 @@ using namespace mft::bench;
 
 int main() {
   std::printf("Ablation: D-phase integerization scale (powers of 10)\n\n");
-  const Netlist nl = load_circuit("c880");
+  const Netlist nl = make_named_circuit("c880");
   const LoweredCircuit lc = lower_gate_level(nl, Tech{});
   const CalibratedTarget cal = calibrate_target(lc.net);
   const TilosResult tilos = run_tilos(lc.net, cal.target);

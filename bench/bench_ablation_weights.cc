@@ -21,7 +21,7 @@ int main() {
            "W-only sav", "uniform sav", "full sav"});
   for (const std::string& name :
        {std::string("c880"), std::string("c1355"), std::string("c6288")}) {
-    const Netlist nl = load_circuit(name);
+    const Netlist nl = make_named_circuit(name);
     const LoweredCircuit lc = lower_gate_level(nl, Tech{});
     const CalibratedTarget cal = calibrate_target(lc.net);
 

@@ -1,5 +1,6 @@
-// Shared helpers for the benchmark binaries: circuit loading by Table-1 name
-// and delay-target calibration.
+// Shared helpers for the benchmark binaries: flag parsing, timing, JSON
+// records, the wide-datapath generator and delay-target calibration.
+// Named circuits load through gen/circuit_name.h.
 //
 // The paper reports rows "for sizing solutions where the area penalty is
 // within 1.5–1.75 times that of a minimum sized circuit" (§3). Absolute
@@ -18,10 +19,11 @@
 
 #include "engine/runner.h"
 #include "gen/blocks.h"
-#include "gen/iscas_analog.h"
+#include "gen/circuit_name.h"
 #include "sizing/minflotransit.h"
 #include "timing/lowering.h"
 #include "util/stopwatch.h"
+#include "util/str.h"
 
 namespace mft::bench {
 
@@ -161,14 +163,26 @@ class BenchJson {
   std::vector<Entry> entries_;
 };
 
-/// Builds a Table-1 circuit by name: "adder32", "adder256", or an ISCAS85
-/// analog name ("c432" ... "c7552").
-inline Netlist load_circuit(const std::string& name) {
-  if (name == "adder32") return make_ripple_adder(32);
-  if (name == "adder64") return make_ripple_adder(64);
-  if (name == "adder128") return make_ripple_adder(128);
-  if (name == "adder256") return make_ripple_adder(256);
-  return make_iscas_analog(name);
+/// A wide datapath array: `slices` independent `bits`-bit ripple-carry
+/// chains in one netlist. Width scales with `slices`, depth with `bits` —
+/// the single-large-circuit shape of bench_inner's kernels and bench_eco's
+/// serving path.
+inline Netlist make_wide_datapath(int slices, int bits) {
+  Netlist nl(strf("datapath%dx%d", slices, bits));
+  for (int s = 0; s < slices; ++s) {
+    const std::string p = "s" + std::to_string(s);
+    GateId carry = nl.add_input(p + "_cin");
+    for (int i = 0; i < bits; ++i) {
+      const GateId a = nl.add_input(strf("%s_a%d", p.c_str(), i));
+      const GateId b = nl.add_input(strf("%s_b%d", p.c_str(), i));
+      const AdderBits fa =
+          add_full_adder_nand(nl, a, b, carry, strf("%s_fa%d", p.c_str(), i));
+      carry = fa.cout;
+      nl.mark_output(fa.sum);
+    }
+    nl.mark_output(carry);
+  }
+  return nl;
 }
 
 struct CalibratedTarget {

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   std::vector<LoweredCircuit> lowered;
   std::vector<double> dmin, floor_d;
   for (const std::string& name : names) {
-    netlists.push_back(load_circuit(name));
+    netlists.push_back(make_named_circuit(name));
     lowered.push_back(lower_gate_level(netlists.back(), Tech{}));
     const SizingNetwork& net = lowered.back().net;
     dmin.push_back(min_sized_delay(net));

@@ -40,27 +40,6 @@ using namespace mft::bench;
 
 namespace {
 
-/// Same wide-datapath array as bench_inner (kept in sync by hand — the
-/// generator is 15 lines): `slices` independent `bits`-bit ripple-carry
-/// chains, the single-large-circuit shape the serving path targets.
-Netlist make_wide_datapath(int slices, int bits) {
-  Netlist nl(strf("datapath%dx%d", slices, bits));
-  for (int s = 0; s < slices; ++s) {
-    const std::string p = "s" + std::to_string(s);
-    GateId carry = nl.add_input(p + "_cin");
-    for (int i = 0; i < bits; ++i) {
-      const GateId a = nl.add_input(strf("%s_a%d", p.c_str(), i));
-      const GateId b = nl.add_input(strf("%s_b%d", p.c_str(), i));
-      const AdderBits fa =
-          add_full_adder_nand(nl, a, b, carry, strf("%s_fa%d", p.c_str(), i));
-      carry = fa.cout;
-      nl.mark_output(fa.sum);
-    }
-    nl.mark_output(carry);
-  }
-  return nl;
-}
-
 /// Deterministic clustered perturbation: the first `count` non-source
 /// vertices whose level falls in a band around the middle of the network —
 /// the locality a placed-and-routed ECO actually has.

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   // c3540 gives ~0.5 s/job at these targets: heavy enough that pool
   // startup and measurement noise are negligible, light enough that the
   // bench stays under ~10 s sequential.
-  const Netlist nl = load_circuit("c3540");
+  const Netlist nl = make_named_circuit("c3540");
   const LoweredCircuit lc = lower_gate_level(nl, Tech{});
 
   std::vector<SizingJob> jobs;

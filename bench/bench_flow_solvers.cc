@@ -48,7 +48,7 @@ const Prepared& prepared(const std::string& name) {
   static std::map<std::string, Prepared> cache;
   auto it = cache.find(name);
   if (it == cache.end()) {
-    Netlist nl = load_circuit(name);
+    Netlist nl = make_named_circuit(name);
     Prepared p{lower_gate_level(nl, Tech{}), {}};
     const CalibratedTarget cal = calibrate_target(p.lc.net);
     p.sizes = run_tilos(p.lc.net, cal.target).sizes;
@@ -111,9 +111,7 @@ class RecordingDPhasePass : public OptimizerPass {
  public:
   RecordingDPhasePass(const MinflotransitOptions& opt,
                       std::vector<Iterate>* log)
-      : inner_(opt.dphase, opt.rel_improvement_stop, opt.patience,
-               opt.max_beta_backoffs),
-        log_(log) {}
+      : inner_(opt.dphase), log_(log) {}
   const std::string& name() const override { return inner_.name(); }
   void begin(SizingContext& ctx, PipelineState& s) override {
     inner_.begin(ctx, s);
@@ -213,7 +211,8 @@ int main() {
               "cold pivots", "warm pivots", "cold ms/solve", "warm ms/solve");
   bool warm_equals_cold = true;
   for (const std::string& name : {std::string("c2670"), std::string("c3540")}) {
-    const LoweredCircuit lc = lower_gate_level(load_circuit(name), Tech{});
+    const LoweredCircuit lc =
+        lower_gate_level(make_named_circuit(name), Tech{});
     const std::vector<Iterate> iterates =
         record_iterates(lc.net, 0.6 * min_sized_delay(lc.net));
     Replay cold, warm;

@@ -1,15 +1,10 @@
 // Inner-loop benchmark: the three hot kernels (STA full, incremental STA
 // sweeps, W-phase Gauss–Seidel) on the largest generated instance.
 //
-// Three axes:
+// Two axes:
 //  - inner-thread scaling (sequential vs N level-parallel inner threads,
 //    plus the bit-exactness cross-check: thread count must never change
 //    results),
-//  - layout ablation: the pre-SweepPlan array-of-structs walks (per-vertex
-//    heap load vectors, id-indexed values, Digraph adjacency) re-timed
-//    under the same seeds against the level-contiguous SoA kernels the
-//    library now runs, with a bit-identity gate between the two — the
-//    layout win is attributable, not just a before/after wall number,
 //  - per-kernel throughput: vertices/second and effective GB/s (documented
 //    byte model below) so regressions show up as bandwidth, not just time.
 //
@@ -20,13 +15,10 @@
 // phases are expected >= 1.5x at 4 inner threads, while a 1-core container
 // reads well BELOW 1x because four workers time-slice one core. The
 // 1-thread numbers run the sequential code path (no arena), so they double
-// as the no-regression baseline; bench/BASELINE_inner_pr6.json snapshots
-// the pre-SweepPlan numbers on the same instance. Override the thread
-// count with --inner-threads or MFT_BENCH_INNER_THREADS.
+// as the no-regression baseline (bench/results/BENCH_inner.json). Override
+// the thread count with --inner-threads or MFT_BENCH_INNER_THREADS.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <limits>
 #include <thread>
 
 #include "bench_common.h"
@@ -44,145 +36,6 @@ bool reports_identical(const TimingReport& a, const TimingReport& b) {
   return a.delay == b.delay && a.at == b.at && a.rt == b.rt &&
          a.slack == b.slack && a.critical_path == b.critical_path &&
          a.cp_vertex == b.cp_vertex;
-}
-
-/// The largest generated instance: a wide datapath array — `slices`
-/// independent `bits`-bit ripple-carry chains in one netlist (the shape of
-/// a big multi-lane datapath, and of the sharded-solve workloads 10-100x
-/// beyond c7552). Width scales with `slices`, depth with `bits`, which is
-/// exactly the single-large-circuit case the level-parallel inner loop
-/// exists for.
-Netlist make_wide_datapath(int slices, int bits) {
-  Netlist nl(strf("datapath%dx%d", slices, bits));
-  for (int s = 0; s < slices; ++s) {
-    const std::string p = "s" + std::to_string(s);
-    GateId carry = nl.add_input(p + "_cin");
-    for (int i = 0; i < bits; ++i) {
-      const GateId a = nl.add_input(strf("%s_a%d", p.c_str(), i));
-      const GateId b = nl.add_input(strf("%s_b%d", p.c_str(), i));
-      const AdderBits fa = add_full_adder_nand(
-          nl, a, b, carry, strf("%s_fa%d", p.c_str(), i));
-      carry = fa.cout;
-      nl.mark_output(fa.sum);
-    }
-    nl.mark_output(carry);
-  }
-  return nl;
-}
-
-// ---------------------------------------------------------------------------
-// Legacy array-of-structs reference kernels (layout ablation arm)
-// ---------------------------------------------------------------------------
-// The exact pre-SweepPlan walks, kept here (not in the library): per-vertex
-// delay chases verts_[v].loads, the sweeps walk topological_order() with
-// id-indexed value arrays, W-phase relaxes in reverse topological order.
-// The determinism gate below asserts they still produce bit-identical
-// results to the streaming kernels — the ablation times the layout, not a
-// different algorithm.
-
-double aos_delay(const SizingNetwork& net, NodeId v,
-                 const std::vector<double>& sizes) {
-  const SizingVertex& sv = net.vertex(v);
-  if (sv.kind == VertexKind::kSource) return 0.0;
-  double load = sv.b;
-  for (const LoadTerm& t : sv.loads)
-    load += t.coeff * sizes[static_cast<std::size_t>(t.vertex)];
-  return sv.a_self + load / sizes[static_cast<std::size_t>(v)];
-}
-
-void aos_sweeps(const SizingNetwork& net, TimingReport& r) {
-  const double inf = std::numeric_limits<double>::infinity();
-  const Digraph& g = net.dag();
-  r.critical_path = 0.0;
-  r.cp_vertex = kInvalidNode;
-  for (NodeId v : net.topological_order()) {
-    double at = 0.0;
-    for (ArcId a : g.in_arcs(v)) {
-      const NodeId j = g.tail(a);
-      at = std::max(at, r.at[static_cast<std::size_t>(j)] +
-                            r.delay[static_cast<std::size_t>(j)]);
-    }
-    r.at[static_cast<std::size_t>(v)] = at;
-    const double end = at + r.delay[static_cast<std::size_t>(v)];
-    if (r.cp_vertex == kInvalidNode || end > r.critical_path) {
-      r.critical_path = end;
-      r.cp_vertex = v;
-    }
-  }
-  const auto& topo = net.topological_order();
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const NodeId v = *it;
-    double rt = inf;
-    if (net.vertex(v).is_po || g.out_degree(v) == 0)
-      rt = r.critical_path - r.delay[static_cast<std::size_t>(v)];
-    for (ArcId a : g.out_arcs(v)) {
-      const NodeId j = g.head(a);
-      rt = std::min(rt, r.rt[static_cast<std::size_t>(j)] -
-                            r.delay[static_cast<std::size_t>(v)]);
-    }
-    r.rt[static_cast<std::size_t>(v)] = rt;
-    r.slack[static_cast<std::size_t>(v)] =
-        rt - r.at[static_cast<std::size_t>(v)];
-  }
-}
-
-TimingReport aos_run_sta(const SizingNetwork& net,
-                         const std::vector<double>& sizes) {
-  const std::size_t n = static_cast<std::size_t>(net.num_vertices());
-  TimingReport r;
-  r.delay.resize(n);
-  r.at.assign(n, 0.0);
-  r.rt.assign(n, std::numeric_limits<double>::infinity());
-  r.slack.resize(n);
-  for (NodeId v = 0; v < net.num_vertices(); ++v)
-    r.delay[static_cast<std::size_t>(v)] = aos_delay(net, v, sizes);
-  aos_sweeps(net, r);
-  return r;
-}
-
-WPhaseResult aos_wphase(const SizingNetwork& net,
-                        const std::vector<double>& budget) {
-  const Tech& tech = net.tech();
-  WPhaseResult res;
-  res.sizes = net.min_sizes();
-  const auto start = res.sizes;
-  const auto& topo = net.topological_order();
-  const int max_sweeps = std::max(4, net.num_vertices());
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    ++res.sweeps;
-    double max_rel_change = 0.0;
-    char infeasible = 0;
-    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-      const NodeId v = *it;
-      const SizingVertex& sv = net.vertex(v);
-      if (sv.kind == VertexKind::kSource) continue;
-      const double d = budget[static_cast<std::size_t>(v)];
-      if (d <= sv.a_self) {
-        infeasible = 1;
-        res.sizes[static_cast<std::size_t>(v)] = tech.max_size;
-        continue;
-      }
-      double load = sv.b;
-      for (const LoadTerm& t : sv.loads)
-        load += t.coeff * res.sizes[static_cast<std::size_t>(t.vertex)];
-      double x = load / (d - sv.a_self);
-      if (x > tech.max_size) {
-        infeasible = 1;
-        x = tech.max_size;
-      }
-      x = std::max(x, tech.min_size);
-      const double old = res.sizes[static_cast<std::size_t>(v)];
-      max_rel_change = std::max(max_rel_change, std::abs(x - old) / old);
-      res.sizes[static_cast<std::size_t>(v)] = x;
-    }
-    if (infeasible) res.feasible = false;
-    if (max_rel_change < 1e-12) break;
-  }
-  for (NodeId v = 0; v < net.num_vertices(); ++v)
-    if (res.sizes[static_cast<std::size_t>(v)] !=
-        start[static_cast<std::size_t>(v)])
-      res.changed.push_back(v);
-  return res;
 }
 
 // ---------------------------------------------------------------------------
@@ -323,76 +176,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // -------------------------------------------------------------------------
-  // Layout ablation arm (sequential): legacy AoS walks, same seeds.
-  // -------------------------------------------------------------------------
-  RepeatTiming aos_full_t, aos_sweeps_t, aos_wphase_t;
-  TimingReport aos_report;
-  {
-    TimingReport r;
-    aos_full_t = time_repeats(repeats, [&] { r = aos_run_sta(net, sized); });
-    const bool full_match = reports_identical(r, run_sta(net, sized));
-
-    // Hinted single-vertex toggles, mirroring the sweeps phase above: the
-    // delay refresh walks reverse_loads, the sweeps walk topo order.
-    std::vector<double> x = sized;
-    const auto& rev = net.reverse_loads()[static_cast<std::size_t>(bump)];
-    aos_sweeps_t = time_repeats(repeats, [&] {
-      const std::size_t b = static_cast<std::size_t>(bump);
-      x[b] = x[b] == sized[b] ? sized[b] * 1.1 : sized[b];
-      r.delay[b] = aos_delay(net, bump, x);
-      for (const LoadTerm& t : rev)
-        r.delay[static_cast<std::size_t>(t.vertex)] =
-            aos_delay(net, t.vertex, x);
-      aos_sweeps(net, r);
-    });
-    aos_report = r;
-
-    WPhaseResult w;
-    aos_wphase_t = time_repeats(repeats, [&] { w = aos_wphase(net, budget); });
-    const bool wphase_match = w.sizes == wres[0].sizes &&
-                              w.sweeps == wres[0].sweeps &&
-                              w.feasible == wres[0].feasible;
-    if (!full_match || !wphase_match)
-      std::printf("layout ablation: AOS/SoA MISMATCH (full %d, wphase %d)\n",
-                  full_match, wphase_match);
-    // Fold the ablation equivalence into the determinism exit gate below.
-    if (!full_match || !wphase_match) aos_report.critical_path = -1.0;
-  }
   auto speedup = [](const RepeatTiming& a, const RepeatTiming& b) {
     return b.min() > 0.0 ? a.min() / b.min() : 0.0;
   };
-  std::printf(
-      "layout ablation (1 thread, AoS -> SoA): sta_full %.2fx "
-      "(%.3f -> %.3fms), sweeps %.2fx (%.3f -> %.3fms), wphase %.2fx "
-      "(%.3f -> %.3fms)\n",
-      speedup(aos_full_t, full[0]), aos_full_t.min() * 1e3, full[0].min() * 1e3,
-      speedup(aos_sweeps_t, sweeps[0]), aos_sweeps_t.min() * 1e3,
-      sweeps[0].min() * 1e3, speedup(aos_wphase_t, wphase[0]),
-      aos_wphase_t.min() * 1e3, wphase[0].min() * 1e3);
-  {
-    int pi = 0;
-    for (const char* phase : {"sta_full", "sta_sweeps", "wphase"}) {
-      const RepeatTiming& t = pi == 0   ? aos_full_t
-                              : pi == 1 ? aos_sweeps_t
-                                        : aos_wphase_t;
-      const RepeatTiming& soa = pi == 0 ? full[0] : pi == 1 ? sweeps[0]
-                                                            : wphase[0];
-      json.add(strf("inner/ablation_aos_%s_t1", phase), t.total(),
-               {{"min_seconds", t.min()},
-                {"median_seconds", t.median()},
-                {"layout_speedup_min", speedup(t, soa)},
-                {"layout_speedup_median",
-                 soa.median() > 0.0 ? t.median() / soa.median() : 0.0},
-                {"repeats", static_cast<double>(repeats)},
-                {"threads", 1.0}});
-      ++pi;
-    }
-  }
 
   const bool deterministic =
       reports_identical(report[0], report[1]) &&
-      reports_identical(report[0], aos_report) &&
       wres[0].sizes == wres[1].sizes && wres[0].sweeps == wres[1].sweeps &&
       wres[0].feasible == wres[1].feasible;
   const double sweep_speedup = speedup(sweeps[0], sweeps[1]);
@@ -401,17 +190,13 @@ int main(int argc, char** argv) {
       "wphase %.2fx (hw concurrency %u)\n",
       par_threads, speedup(full[0], full[1]), sweep_speedup,
       speedup(wphase[0], wphase[1]), hw);
-  std::printf("determinism across thread counts and layouts: %s\n",
+  std::printf("determinism across thread counts: %s\n",
               deterministic ? "bit-identical" : "MISMATCH");
 
   json.add("inner/summary", full[0].total() + full[1].total(),
            {{"sweep_speedup", sweep_speedup},
             {"sta_full_speedup", speedup(full[0], full[1])},
             {"wphase_speedup", speedup(wphase[0], wphase[1])},
-            {"layout_sta_full_speedup", speedup(aos_full_t, full[0])},
-            {"layout_sweep_speedup", speedup(aos_sweeps_t, sweeps[0])},
-            {"layout_wphase_speedup", speedup(aos_wphase_t, wphase[0])},
-            // Cross-PR trend lines (compare bench/BASELINE_inner_pr6.json).
             {"sta_full_t1_median", full[0].median()},
             {"sta_sweeps_t1_median", sweeps[0].median()},
             {"wphase_t1_median", wphase[0].median()},

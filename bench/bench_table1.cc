@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   std::vector<Netlist> netlists;
   std::vector<LoweredCircuit> lowered;
   for (const std::string& name : circuits) {
-    netlists.push_back(load_circuit(name));
+    netlists.push_back(make_named_circuit(name));
     lowered.push_back(lower_gate_level(netlists.back(), Tech{}));
   }
   std::vector<const SizingNetwork*> networks;

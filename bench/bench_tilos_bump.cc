@@ -13,7 +13,7 @@ using namespace mft::bench;
 
 int main() {
   std::printf("Ablation: TILOS bumpsize (paper uses 1.1)\n\n");
-  const Netlist nl = load_circuit("c880");
+  const Netlist nl = make_named_circuit("c880");
   const LoweredCircuit lc = lower_gate_level(nl, Tech{});
   const CalibratedTarget cal = calibrate_target(lc.net);
   Table t({"bumpsize", "TILOS bumps", "TILOS area", "TILOS time", "MFT area",

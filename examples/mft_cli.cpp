@@ -10,8 +10,8 @@
 //   mft_cli --circuit c432 --sweep --threads 4 --json sweep.json
 //
 // Options:
-//   --circuit NAME        built-in circuit: c17, adderN, c432..c7552
-//                         analogs, tiledLxSxB (see --list-circuits)
+//   --circuit NAME        built-in circuit, grammar and size bound in
+//                         gen/circuit_name.h (see --list-circuits)
 //   --list-circuits       print every built-in circuit name and exit
 //   --bench PATH          read an ISCAS85 .bench file instead
 //   --target-ratio R      delay target as a fraction of Dmin, in (0, 2]
@@ -29,11 +29,6 @@
 //   --inner-threads N     level-parallel STA/W-phase threads per job
 //                         (default 0: leftover --threads capacity goes to
 //                         the widest jobs; results identical at any value)
-//   --streaming           run single/sweep requests through the persistent
-//                         StreamingRunner (submit/poll engine) instead of
-//                         the batch wrapper — bit-identical results, with
-//                         per-ticket completion reporting; the sharded
-//                         mode always streams internally
 //   --context-cache N     per-worker context-pool LRU bound (0 = keep one
 //                         context per network ever touched); eviction
 //                         never changes results
@@ -49,16 +44,6 @@
 //                         mode: deadline for the whole solve); an expired
 //                         job returns its best-so-far feasible solution
 //                         flagged "degraded"
-//   --cancel-after S      streaming modes only: cancel every in-flight
-//                         ticket S seconds after submission (exercises
-//                         StreamingRunner::cancel)
-//   --priority N          streaming only: submit every job at scheduler
-//                         priority N (higher dispatches first; results
-//                         stay bit-identical — only dispatch order moves)
-//   --shed                streaming only: enable overload shedding —
-//                         queued jobs whose --deadline has already expired
-//                         at dispatch fail fast with status "shed" instead
-//                         of burning a worker
 //   --eco PATH            ECO serving replay: solve the base target once,
 //                         then apply the delta script at PATH against the
 //                         warm session — one line per directive:
@@ -69,22 +54,17 @@
 //                         '#' comments and blank lines are skipped; each
 //                         apply prints mode/delay/area and the re-solve
 //                         wall time (warm-start resize, not a fresh solve)
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "engine/runner.h"
-#include "engine/stream.h"
-#include "gen/blocks.h"
+#include "gen/circuit_name.h"
 #include "gen/iscas_analog.h"
-#include "gen/tiled.h"
 #include "netlist/bench_io.h"
 #include "netlist/netlist.h"
 #include "netlist/stats.h"
@@ -115,11 +95,7 @@ struct Args {
   int inner_threads = 0;  // 0 = runner policy (leftover cores)
   int shards = 0;         // 0 = monolithic solve
   int context_cache = 0;  // 0 = unbounded context pools
-  double deadline = 0.0;      // 0 = no deadline
-  double cancel_after = -1.0; // < 0 = never cancel
-  int priority = 0;           // streaming scheduler priority for all jobs
-  bool shed = false;          // streaming: fail expired queued jobs fast
-  bool streaming = false;
+  double deadline = 0.0;  // 0 = no deadline
   bool sweep = false;
   bool wires = false;
   bool tilos_only = false;
@@ -131,7 +107,8 @@ struct Args {
 /// unknown or malformed flag gets the full menu, not a bare error.
 const char* option_listing() {
   return
-      "  --circuit NAME        built-in circuit (see --list-circuits)\n"
+      "  --circuit NAME        built-in circuit, grammar and size bound in\n"
+      "                        gen/circuit_name.h (see --list-circuits)\n"
       "  --list-circuits       print every built-in circuit name and exit\n"
       "  --bench PATH          read an ISCAS85 .bench file instead\n"
       "  --target-ratio R      delay target as a fraction of Dmin, in (0, 2]\n"
@@ -145,7 +122,6 @@ const char* option_listing() {
       "  --ratios R1,R2,...    sweep targets as fractions of Dmin\n"
       "  --threads N           engine worker threads (default: hardware)\n"
       "  --inner-threads N     level-parallel STA/W-phase threads per job\n"
-      "  --streaming           run through the persistent StreamingRunner\n"
       "  --context-cache N     per-worker context-pool LRU bound\n"
       "  --shards K            sharded solve with K level bands\n"
       "  --deadline S          per-job (or per-solve, with --shards) "
@@ -154,13 +130,6 @@ const char* option_listing() {
       "their\n"
       "                        best-so-far feasible solution, flagged "
       "degraded\n"
-      "  --cancel-after S      streaming modes only: cancel every ticket S\n"
-      "                        seconds after submission\n"
-      "  --priority N          streaming only: scheduler priority for every\n"
-      "                        job (higher dispatches first; bit-identical\n"
-      "                        results, only dispatch order moves)\n"
-      "  --shed                streaming only: shed queued jobs whose\n"
-      "                        --deadline already expired at dispatch\n"
       "  --eco PATH            solve the base target, then replay the ECO\n"
       "                        delta script at PATH against the warm "
       "session\n"
@@ -195,26 +164,14 @@ std::string circuit_listing() {
   out += "  adder<N>        N-bit ripple-carry adder, e.g. adder32\n";
   out += "  tiled<L>x<S>x<B> L-lane S-stage B-bit tiled datapath mesh,\n";
   out += "                  e.g. tiled64x48x4 (~110k gates)\n";
+  out += strf("                  (adder and tiled sizes: at most %lld gates)\n",
+              static_cast<long long>(kMaxNamedCircuitGates));
   for (const IscasAnalogSpec& spec : iscas85_specs()) {
     const std::size_t pad =
         spec.name.size() < 16 ? 16 - spec.name.size() : 1;
     out += "  " + spec.name + std::string(pad, ' ') + spec.function + "\n";
   }
   return out;
-}
-
-/// Parses "tiled<L>x<S>x<B>"; returns false if `name` is not of that form.
-bool parse_tiled_name(const std::string& name, TiledDatapathParams& p) {
-  int lanes = 0, stages = 0, bits = 0;
-  char tail = '\0';
-  if (std::sscanf(name.c_str(), "tiled%dx%dx%d%c", &lanes, &stages, &bits,
-                  &tail) != 3 ||
-      lanes < 1 || stages < 1 || bits < 1)
-    return false;
-  p.lanes = lanes;
-  p.stages = stages;
-  p.bits = bits;
-  return true;
 }
 
 std::vector<double> parse_ratio_list(const std::string& s) {
@@ -281,19 +238,8 @@ Args parse(int argc, char** argv) {
        : f == "--shards"        ? a.shards
                                 : a.context_cache) = static_cast<int>(v);
     }
-    else if (f == "--deadline" || f == "--cancel-after")
-      (f == "--deadline" ? a.deadline : a.cancel_after) =
-          real(i, f, [](double v) { return v >= 0.0; });
-    else if (f == "--priority") {
-      const char* s = value(i);
-      char* end = nullptr;
-      const long v = std::strtol(s, &end, 10);  // negative priorities allowed
-      if (end == s || *end != '\0')
-        usage(("bad --priority value '" + std::string(s) + "'").c_str());
-      a.priority = static_cast<int>(v);
-    }
-    else if (f == "--shed") a.shed = true;
-    else if (f == "--streaming") a.streaming = true;
+    else if (f == "--deadline")
+      a.deadline = real(i, f, [](double v) { return v >= 0.0; });
     else if (f == "--fast-math") a.fast_math = true;
     else if (f == "--list-circuits") {
       std::printf("built-in circuits (--circuit NAME):\n%s",
@@ -312,27 +258,19 @@ Args parse(int argc, char** argv) {
     usage("--wires needs --granularity gate");
   if (a.shards > 0 && a.sweep)
     usage("--shards is a single-target mode; drop --sweep");
-  if (a.cancel_after >= 0.0 && !a.streaming)
-    usage("--cancel-after needs --streaming (it cancels tickets)");
-  if (a.priority != 0 && !a.streaming)
-    usage("--priority needs --streaming (the batch engine ignores it)");
-  if (a.shed && !a.streaming)
-    usage("--shed needs --streaming (shedding is a queue policy)");
   if (a.fast_math && a.shards > 0)
     usage(
         "--fast-math cannot be combined with --shards: shard "
         "reconciliation depends on bit-identical re-evaluation of boundary "
         "timing, which FP-reassociated folds do not guarantee");
-  if (!a.eco_path.empty() && (a.sweep || a.shards > 0 || a.streaming))
-    usage(
-        "--eco is a single warm-session mode; drop --sweep / --shards / "
-        "--streaming");
+  if (!a.eco_path.empty() && (a.sweep || a.shards > 0))
+    usage("--eco is a single warm-session mode; drop --sweep / --shards");
   return a;
 }
 
 /// Builds the requested circuit, exiting with a clear diagnostic (never
 /// silent fallback behavior) when --bench is missing/unparsable or
-/// --circuit names no known generator.
+/// --circuit is not a name gen/circuit_name.h accepts.
 Netlist build_circuit(const Args& a) {
   if (!a.bench_path.empty()) {
     std::ifstream probe(a.bench_path);
@@ -350,15 +288,10 @@ Netlist build_circuit(const Args& a) {
     }
   }
   try {
-    if (a.circuit == "c17") return make_c17();
-    if (a.circuit.rfind("adder", 0) == 0)
-      return make_ripple_adder(std::atoi(a.circuit.c_str() + 5));
-    TiledDatapathParams tp;
-    if (parse_tiled_name(a.circuit, tp)) return make_tiled_datapath(tp);
-    return make_iscas_analog(a.circuit);
+    return make_named_circuit(a.circuit);
   } catch (const std::exception& e) {
     std::fprintf(stderr,
-                 "error: unknown --circuit '%s':\n  %s\n"
+                 "error: bad --circuit '%s':\n  %s\n"
                  "available circuits:\n%s",
                  a.circuit.c_str(), e.what(), circuit_listing().c_str());
     std::exit(2);
@@ -366,7 +299,7 @@ Netlist build_circuit(const Args& a) {
 }
 
 /// The engine configuration shared by every execution mode; a new knob
-/// added here reaches single/sweep/streaming/sharded alike.
+/// added here reaches single/sweep/sharded alike.
 JobRunnerOptions make_runner_options(const Args& args) {
   JobRunnerOptions ropt;
   ropt.threads = args.threads;
@@ -376,72 +309,11 @@ JobRunnerOptions make_runner_options(const Args& args) {
   return ropt;
 }
 
-/// Streams `jobs` through the persistent StreamingRunner — submit-all,
-/// then ticket-ordered consumption — and repackages the results in the
-/// familiar batch shape. Bit-identical to JobRunner::run on the same jobs
-/// (submission order == job order makes ticket-derived seeds equal the
-/// batch's index-derived ones, and the CLI has the whole list up front,
-/// so the batch inner-thread policy is stamped per job too), so every
-/// downstream report and JSON path is shared; what --streaming
-/// demonstrates is the ticket lifecycle and per-completion reporting of
-/// the submit/poll engine.
-BatchResult run_streaming(const Args& args, const SizingNetwork& net,
-                          std::vector<SizingJob> jobs, bool report) {
-  JobRunnerOptions ropt = make_runner_options(args);
-  ropt.shed = args.shed;
-  Stopwatch sw;
-  StreamingRunner stream(ropt);
-  const std::vector<int> inner = resolve_batch_inner_threads(
-      {&net}, jobs, stream.threads(), ropt.inner_threads);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    jobs[i].inner_threads = inner[i];
-    jobs[i].priority = args.priority;
-  }
-  const int total = static_cast<int>(jobs.size());
-  int done = 0;  // callbacks are serialized by the runner
-  std::vector<JobTicket> tickets;
-  tickets.reserve(jobs.size());
-  for (SizingJob& job : jobs) {
-    std::function<void(const JobResult&)> on_complete;
-    if (report)
-      on_complete = [&done, total](const JobResult& r) {
-        std::printf("  [ticket %d] %-16s %.2fs on thread %d (%d/%d done)\n",
-                    r.job, r.label.c_str(), r.wall_seconds, r.thread, ++done,
-                    total);
-        std::fflush(stdout);
-      };
-    tickets.push_back(stream.submit(net, std::move(job),
-                                    std::move(on_complete)));
-  }
-  if (args.cancel_after >= 0.0) {
-    // Let the workers get going, then cancel every ticket: queued jobs
-    // fail immediately with kCanceled, running ones stop at their next
-    // pass/sweep checkpoint. cancel() returns false for already-finished
-    // tickets, which is fine here.
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(args.cancel_after));
-    int hit = 0;
-    for (const JobTicket t : tickets)
-      if (stream.cancel(t)) ++hit;
-    std::printf("  canceled %d of %d in-flight ticket%s after %.3fs\n", hit,
-                total, total == 1 ? "" : "s", args.cancel_after);
-  }
-  BatchResult batch;
-  for (const JobTicket t : tickets)
-    batch.results.push_back(stream.wait(t));
-  if (args.shed) {
-    const StreamStats stats = stream.stats();
-    if (stats.shed > 0)
-      std::printf("  shed %llu queued job%s (deadline expired before "
-                  "dispatch)\n",
-                  static_cast<unsigned long long>(stats.shed),
-                  stats.shed == 1 ? "" : "s");
-  }
-  batch.threads_used = stream.threads();
-  batch.wall_seconds = sw.seconds();
-  batch.jobs_per_second =
-      batch.wall_seconds > 0.0 ? total / batch.wall_seconds : 0.0;
-  return batch;
+/// Per-job completion line of the sweep and sharded modes.
+void print_progress(const JobResult& r, int done, int total) {
+  std::printf("  [%d/%d] %-16s %.2fs on thread %d\n", done, total,
+              r.label.c_str(), r.wall_seconds, r.thread);
+  std::fflush(stdout);
 }
 
 MinflotransitOptions make_options(const Args& args) {
@@ -482,12 +354,8 @@ int run_single(const Args& args, const LoweredCircuit& lc, double dmin) {
   job.label = args.circuit + strf("@%.2f", args.target_ratio);
   job.deadline_seconds = args.deadline;
 
-  BatchResult batch;
-  if (args.streaming) {
-    batch = run_streaming(args, lc.net, {job}, /*report=*/false);
-  } else {
-    batch = JobRunner(make_runner_options(args)).run({&lc.net}, {job});
-  }
+  const BatchResult batch =
+      JobRunner(make_runner_options(args)).run({&lc.net}, {job});
   const JobResult& r = batch.results.front();
   // Write the machine-readable record first: it carries ok/error fields,
   // so scripted callers get it on failure too (as in --sweep mode).
@@ -532,11 +400,7 @@ int run_sharded(const Args& args, const LoweredCircuit& lc, double dmin) {
   opt.options = make_options(args);
   opt.deadline_seconds = args.deadline;
   opt.runner = make_runner_options(args);
-  opt.runner.progress = [](const JobResult& r, int done, int total) {
-    std::printf("  [%d/%d] %-16s %.2fs on thread %d\n", done, total,
-                r.label.c_str(), r.wall_seconds, r.thread);
-    std::fflush(stdout);
-  };
+  opt.runner.progress = print_progress;
   ShardSolveResult r;
   try {
     r = run_sharded_solve(lc.net, target, opt);
@@ -621,18 +485,9 @@ int run_sweep(const Args& args, const LoweredCircuit& lc, double dmin) {
     jobs.push_back(std::move(job));
   }
 
-  BatchResult batch;
-  if (args.streaming) {
-    batch = run_streaming(args, lc.net, std::move(jobs), /*report=*/true);
-  } else {
-    JobRunnerOptions ropt = make_runner_options(args);
-    ropt.progress = [](const JobResult& r, int done, int total) {
-      std::printf("  [%d/%d] %-16s %.2fs on thread %d\n", done, total,
-                  r.label.c_str(), r.wall_seconds, r.thread);
-      std::fflush(stdout);
-    };
-    batch = JobRunner(ropt).run({&lc.net}, jobs);
-  }
+  JobRunnerOptions ropt = make_runner_options(args);
+  ropt.progress = print_progress;
+  const BatchResult batch = JobRunner(ropt).run({&lc.net}, jobs);
 
   Table t({"delay/Dmin", "TILOS area/min", "MFT area/min", "savings",
            "job wall"});

@@ -135,7 +135,7 @@ Flags parse(int argc, char** argv) {
         std::exit(2);
       }
     } else if (flag == "--no-shed")
-      f.daemon.shed = false;
+      f.daemon.engine.shed = false;
     else if (flag == "--socket")
       f.socket_path = value(i);
     else if (flag == "--journal")

@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <stdexcept>
 #include <utility>
 
-#include "gen/blocks.h"
-#include "gen/iscas_analog.h"
-#include "gen/tiled.h"
+#include "gen/circuit_name.h"
 #include "sizing/resize.h"
 #include "util/check.h"
 #include "util/fault.h"
@@ -211,33 +208,13 @@ bool get_flag(const JsonObj& obj, const char* key) {
   return false;
 }
 
-void json_escape(std::string& dst, const std::string& s) {
-  char buf[8];
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      dst.push_back('\\');
-      dst.push_back(c);
-    } else if (c == '\n') {
-      dst += "\\n";
-    } else if (c == '\t') {
-      dst += "\\t";
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      dst += buf;
-    } else {
-      dst.push_back(c);
-    }
-  }
-}
-
 /// Incremental JSON-object line builder for responses.
 class JsonLine {
  public:
   JsonLine& str(const char* key, const std::string& v) {
     open(key);
     out_.push_back('"');
-    json_escape(out_, v);
+    append_json_escaped(out_, v);
     out_.push_back('"');
     return *this;
   }
@@ -292,19 +269,6 @@ std::uint64_t sizes_hash(const std::vector<double>& sizes) {
   return h;
 }
 
-bool parse_tiled(const std::string& name, TiledDatapathParams& p) {
-  int lanes = 0, stages = 0, bits = 0;
-  char tail = '\0';
-  if (std::sscanf(name.c_str(), "tiled%dx%dx%d%c", &lanes, &stages, &bits,
-                  &tail) != 3 ||
-      lanes < 1 || stages < 1 || bits < 1)
-    return false;
-  p.lanes = lanes;
-  p.stages = stages;
-  p.bits = bits;
-  return true;
-}
-
 /// Shared by live submits and journal replay: both carry the same flat
 /// key set, so a journaled submit record round-trips through this exactly
 /// like the original request line did.
@@ -321,22 +285,6 @@ SizingJob job_from_obj(const JsonObj& obj, const std::string& circuit) {
       static_cast<int>(get_number(obj, "inner_threads", 0.0));
   job.seed = static_cast<std::uint64_t>(get_number(obj, "seed", 0.0));
   return job;
-}
-
-Netlist build_circuit(const std::string& name) {
-  if (name == "c17") return make_c17();
-  if (name.rfind("adder", 0) == 0) {
-    const int bits = std::atoi(name.c_str() + 5);
-    if (bits >= 1) return make_ripple_adder(bits);
-  }
-  TiledDatapathParams tp;
-  if (parse_tiled(name, tp)) return make_tiled_datapath(tp);
-  try {
-    return make_iscas_analog(name);
-  } catch (const std::exception& e) {
-    throw EngineError(EngineStatus::kInvalidInput,
-                      strf("unknown circuit '%s': %s", name.c_str(), e.what()));
-  }
 }
 
 }  // namespace
@@ -474,9 +422,7 @@ ResizeDelta delta_from_strings(double target, const std::string& loads,
 SizingDaemon::SizingDaemon(DaemonOptions opt, Emit emit)
     : opt_(std::move(opt)), emit_(std::move(emit)) {
   MFT_CHECK_MSG(emit_ != nullptr, "SizingDaemon needs an emit callback");
-  JobRunnerOptions engine = opt_.engine;
-  engine.shed = opt_.shed;
-  runner_ = std::make_unique<StreamingRunner>(std::move(engine));
+  runner_ = std::make_unique<StreamingRunner>(opt_.engine);
   if (!opt_.journal_path.empty()) recover_from_journal();
 }
 
@@ -1251,18 +1197,21 @@ void SizingDaemon::recover_from_journal() {
       if (sid != 0) out.uinteger("session", sid);
       emit_locked(out.uinteger("rid", rid).uinteger("ticket", t).done());
     } catch (const std::exception& e) {
-      // Journal from a build that knew circuits this one does not: give
-      // the request its terminal response and journal it as finished so
-      // it stops replaying.
+      // Journal from a build that accepted a circuit name this one refuses
+      // or does not know: give the request its terminal response and
+      // journal it as finished so it stops replaying.
+      const auto* refused = dynamic_cast<const EngineError*>(&e);
+      const EngineStatus status =
+          refused != nullptr ? refused->status() : EngineStatus::kInternal;
       std::lock_guard<std::mutex> lock(mu_);
-      respond_error_locked(id, EngineStatus::kInternal,
+      respond_error_locked(id, status,
                            strf("replay of rid %llu failed: %s",
                                 static_cast<unsigned long long>(rid),
                                 e.what()));
       journal_append_locked(JsonLine()
                                 .str("type", "result")
                                 .uinteger("rid", rid)
-                                .str("status", "internal")
+                                .str("status", to_string(status))
                                 .boolean("ok", false)
                                 .done());
       live_records_.erase({rid, 0});
@@ -1367,7 +1316,7 @@ const SizingNetwork& SizingDaemon::circuit(const std::string& name) {
   // lifetime, so queued jobs' network pointers stay valid.
   auto it = circuits_.find(name);
   if (it == circuits_.end()) {
-    Netlist nl = build_circuit(name);
+    Netlist nl = make_named_circuit(name);
     auto lowered =
         std::make_unique<LoweredCircuit>(lower_gate_level(nl, Tech{}));
     it = circuits_.emplace(name, std::move(lowered)).first;

@@ -4,7 +4,7 @@
 // through an emit callback the transport owns (stdout, a Unix socket, a
 // test vector — the daemon never touches an fd itself).
 //
-// Protocol (requests):
+// Protocol (requests; "circuit" takes the names of gen/circuit_name.h):
 //   {"op":"submit","circuit":"c17","ratio":0.8,"priority":2,
 //    "deadline":0.5,"max_steps":0,"inner_threads":0,"seed":0,
 //    "label":"...","id":"client-tag",      // only op+circuit required
@@ -40,12 +40,13 @@
 // The response contract the daemon_test pins: every request line gets
 // exactly one terminal response — an admitted submit exactly one
 // {"event":"result"} (preceded by its "accepted" ack), a rejected submit
-// one result with status "rejected", a malformed or unknown request one
-// result with status "invalid_input", a shed job one result with status
-// "shed". No request hangs and no ticket is lost, including under
-// overload and across injected faults (sites "daemon.parse" at request
-// parsing and "daemon.accept" at admission — an armed fault becomes a
-// structured error response, never a dead daemon).
+// one result with status "rejected", a malformed or unknown request (a
+// circuit name outside the grammar or over its gate bound included) one
+// result with status "invalid_input" and no "accepted" ack, a shed job
+// one result with status "shed". No request hangs and no ticket is lost,
+// including under overload and across injected faults (sites
+// "daemon.parse" at request parsing and "daemon.accept" at admission — an
+// armed fault becomes a structured error response, never a dead daemon).
 //
 // Admission control (DaemonOptions): a submit is refused with kRejected
 // when the scheduler queue is already max_queue_depth deep, or when the
@@ -60,9 +61,8 @@
 // once the backlog reaches the worker count) instead of silently
 // admitting everything through the cold-start window. Once admitted,
 // overload is handled by the scheduler itself: deadline-ordered dispatch
-// plus kShed for queued jobs whose deadline lapsed (JobRunnerOptions::
-// shed, on by default here), and the PR-6 best-so-far degradation for
-// jobs already running.
+// plus kShed for queued jobs whose deadline lapsed (engine.shed, on by
+// default here), and best-so-far degradation for jobs already running.
 //
 // Results are delivered through submit_detached, so a long-lived daemon
 // accumulates nothing per request; live stats (queue depth/peak,
@@ -119,8 +119,12 @@ struct ResizeResult;
 struct DaemonOptions {
   /// Engine configuration for the wrapped StreamingRunner. `shed` is the
   /// one field whose default differs from the raw engine: the daemon arms
-  /// it unless the caller explicitly turns it off (see shed below).
-  JobRunnerOptions engine;
+  /// overload shedding unless the caller clears engine.shed.
+  JobRunnerOptions engine = [] {
+    JobRunnerOptions o;
+    o.shed = true;
+    return o;
+  }();
   /// Queue-depth admission bound: a submit arriving while the scheduler
   /// queue is already this deep is refused with kRejected. 0 = unbounded.
   std::size_t max_queue_depth = 0;
@@ -132,8 +136,6 @@ struct DaemonOptions {
   /// estimator is load-dependent, so tests that need determinism keep it
   /// off and pin the queue-depth bound instead).
   double deadline_pressure = 0.0;
-  /// Arm the scheduler's overload shedding (JobRunnerOptions::shed).
-  bool shed = true;
   /// Write-ahead journal path. Empty (the default) disables durability.
   /// When set, the constructor replays any existing journal at this path
   /// (re-admitting unfinished requests and emitting a {"event":"replay"}

@@ -5,6 +5,7 @@
 #include <mutex>
 
 #include "util/stopwatch.h"
+#include "util/str.h"
 
 namespace mft {
 
@@ -56,30 +57,6 @@ std::vector<int> resolve_batch_inner_threads(
   }
   return inner;
 }
-
-namespace {
-
-void json_escape(std::string& dst, const std::string& s) {
-  char buf[8];
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      dst.push_back('\\');
-      dst.push_back(c);
-    } else if (c == '\n') {
-      dst += "\\n";
-    } else if (c == '\t') {
-      dst += "\\t";
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      dst += buf;
-    } else {
-      dst.push_back(c);
-    }
-  }
-}
-
-}  // namespace
 
 JobRunner::JobRunner(JobRunnerOptions opt)
     : opt_(std::move(opt)), info_cache_(opt_.context_cache_limit) {
@@ -174,10 +151,10 @@ bool write_batch_json(const std::string& path, const BatchResult& batch) {
   for (std::size_t i = 0; i < batch.results.size(); ++i) {
     const JobResult& r = batch.results[i];
     std::string label;
-    json_escape(label, r.label);
+    append_json_escaped(label, r.label);
     if (!r.ok) {
       std::string error;
-      json_escape(error, r.error);
+      append_json_escaped(error, r.error);
       std::fprintf(f,
                    "    {\"label\": \"%s\", \"ok\": false, \"status\": "
                    "\"%s\", \"attempts\": %d, \"error\": \"%s\"}",
@@ -220,7 +197,7 @@ bool write_batch_json(const std::string& path, const BatchResult& batch) {
       for (std::size_t p = 0; p < r.pass_stats.size(); ++p) {
         const PassStats& ps = r.pass_stats[p];
         std::string pass_name;
-        json_escape(pass_name, ps.name);
+        append_json_escaped(pass_name, ps.name);
         std::fprintf(f,
                      "%s{\"name\": \"%s\", \"invocations\": %d, "
                      "\"seconds\": %.9g, \"sweeps\": %lld}",

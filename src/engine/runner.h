@@ -84,8 +84,8 @@ class JobRunner {
 /// round-robined onto the jobs with the largest networks, and a
 /// default/MFT_INNER_THREADS fallback overrides the policy entirely.
 /// A pure function of the batch; exposed so streaming callers that do
-/// have the whole job list up front (mft_cli --streaming, bench_engine's
-/// streaming arm) can stamp the same widths the batch wrapper would.
+/// have the whole job list up front (bench_engine's streaming arm) can
+/// stamp the same widths the batch wrapper would.
 std::vector<int> resolve_batch_inner_threads(
     const std::vector<const SizingNetwork*>& networks,
     const std::vector<SizingJob>& jobs, int pool_threads,

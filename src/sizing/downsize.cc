@@ -4,11 +4,12 @@
 
 namespace mft {
 
+constexpr double kShrink = 0.95;  ///< multiplicative trial step
+constexpr int kMaxPasses = 50;    ///< full sweeps over all elements
+
 DownsizeResult greedy_downsize(const SizingNetwork& net,
                                const std::vector<double>& start,
-                               double target_delay,
-                               const DownsizeOptions& opt) {
-  MFT_CHECK(opt.shrink > 0.0 && opt.shrink < 1.0);
+                               double target_delay) {
   MFT_CHECK_MSG(run_sta(net, start).critical_path <=
                     target_delay * (1.0 + 1e-9),
                 "greedy_downsize requires a feasible starting point");
@@ -16,7 +17,7 @@ DownsizeResult greedy_downsize(const SizingNetwork& net,
   res.sizes = start;
   const double min_size = net.tech().min_size;
 
-  for (int pass = 0; pass < opt.max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     ++res.passes;
     int accepted_this_pass = 0;
     for (NodeId v = 0; v < net.num_vertices(); ++v) {
@@ -24,7 +25,7 @@ DownsizeResult greedy_downsize(const SizingNetwork& net,
       double& x = res.sizes[static_cast<std::size_t>(v)];
       if (x <= min_size * (1.0 + 1e-12)) continue;
       const double saved = x;
-      x = std::max(min_size, x * opt.shrink);
+      x = std::max(min_size, x * kShrink);
       if (run_sta(net, res.sizes).critical_path >
           target_delay * (1.0 + 1e-9)) {
         x = saved;  // revert

@@ -13,11 +13,6 @@
 
 namespace mft {
 
-struct DownsizeOptions {
-  double shrink = 0.95;  ///< multiplicative trial step
-  int max_passes = 50;   ///< full sweeps over all elements
-};
-
 struct DownsizeResult {
   std::vector<double> sizes;
   double area = 0.0;
@@ -26,10 +21,10 @@ struct DownsizeResult {
 };
 
 /// Requires `start` to meet `target_delay`; returns a locally-minimal
-/// shrink of it that still does.
+/// shrink of it that still does (trial step ×0.95, at most 50 full sweeps
+/// over all elements).
 DownsizeResult greedy_downsize(const SizingNetwork& net,
                                const std::vector<double>& start,
-                               double target_delay,
-                               const DownsizeOptions& opt = {});
+                               double target_delay);
 
 }  // namespace mft

@@ -15,17 +15,19 @@
 
 namespace mft {
 
+/// The D/W loop stops when the relative area improvement stays below
+/// kRelImprovementStop for kStagnationPatience consecutive iterations
+/// ("negligible", §2.4 step 3).
+constexpr double kRelImprovementStop = 1e-4;
+constexpr int kStagnationPatience = 3;
+/// On W-phase infeasibility or timing regression, the trust bound β is
+/// halved and the iteration retried, at most this many times in a row.
+constexpr int kMaxBetaBackoffs = 4;
+
 struct MinflotransitOptions {
   TilosOptions tilos;
   DPhaseOptions dphase;
   int max_iterations = 100;  ///< §3: "no more than 100 iterations"
-  /// Stop when the relative area improvement stays below this for
-  /// `patience` consecutive iterations ("negligible", §2.4 step 3).
-  double rel_improvement_stop = 1e-4;
-  int patience = 3;
-  /// On W-phase infeasibility or timing regression, the trust bound β is
-  /// halved and the iteration retried, at most this many times in a row.
-  int max_beta_backoffs = 4;
   /// Seed forwarded into PipelineState for stochastic passes. The default
   /// passes are fully deterministic and ignore it; the engine layer sets
   /// it per job (derived from the batch base seed) so any future

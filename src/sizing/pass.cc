@@ -64,12 +64,7 @@ PassStatus WPhasePass::run(SizingContext& ctx, PipelineState& s) {
 // DPhasePass
 // ---------------------------------------------------------------------------
 
-DPhasePass::DPhasePass(const DPhaseOptions& opt, double rel_improvement_stop,
-                       int patience, int max_beta_backoffs)
-    : opt_(opt),
-      rel_improvement_stop_(rel_improvement_stop),
-      patience_(patience),
-      max_beta_backoffs_(max_beta_backoffs) {}
+DPhasePass::DPhasePass(const DPhaseOptions& opt) : opt_(opt) {}
 
 void DPhasePass::begin(SizingContext&, PipelineState& s) {
   s.beta = opt_.beta;
@@ -106,7 +101,7 @@ PassStatus DPhasePass::run(SizingContext& ctx, PipelineState& s) {
     // Linearization overstepped (timing broke or area regressed):
     // re-anchor at the best solution, shrink the trust region, retry.
     // The jump to best_sizes has no tracked diff: invalidate the hint.
-    if (++s.backoffs > max_beta_backoffs_) return PassStatus::kDone;
+    if (++s.backoffs > kMaxBetaBackoffs) return PassStatus::kDone;
     s.beta *= 0.5;
     s.sizes = s.best_sizes;
     s.dphase_changed_valid = false;
@@ -125,30 +120,12 @@ PassStatus DPhasePass::run(SizingContext& ctx, PipelineState& s) {
     s.best_area = area;
     s.best_sizes = s.sizes;
   }
-  if (improvement < rel_improvement_stop_) {
-    if (++s.stagnant >= patience_) return PassStatus::kDone;
+  if (improvement < kRelImprovementStop) {
+    if (++s.stagnant >= kStagnationPatience) return PassStatus::kDone;
   } else {
     s.stagnant = 0;
   }
   return PassStatus::kRepeat;
-}
-
-// ---------------------------------------------------------------------------
-// DownsizePass
-// ---------------------------------------------------------------------------
-
-DownsizePass::DownsizePass(const DownsizeOptions& opt) : opt_(opt) {}
-
-PassStatus DownsizePass::run(SizingContext& ctx, PipelineState& s) {
-  if (!s.met_target) return PassStatus::kDone;
-  const DownsizeResult d =
-      greedy_downsize(ctx.net(), s.best_sizes, s.target_delay, opt_);
-  if (d.area < s.best_area) {
-    s.best_area = d.area;
-    s.best_sizes = d.sizes;
-    s.sizes = d.sizes;
-  }
-  return PassStatus::kDone;
 }
 
 // ---------------------------------------------------------------------------
@@ -210,9 +187,7 @@ Pipeline make_minflotransit_pipeline(const MinflotransitOptions& opt) {
   Pipeline p;
   p.add(std::make_unique<TilosPass>(opt.tilos));
   p.add(std::make_unique<WPhasePass>());
-  p.add(std::make_unique<DPhasePass>(opt.dphase, opt.rel_improvement_stop,
-                                     opt.patience, opt.max_beta_backoffs),
-        opt.max_iterations);
+  p.add(std::make_unique<DPhasePass>(opt.dphase), opt.max_iterations);
   return p;
 }
 

@@ -8,8 +8,8 @@
 // shared PipelineState. The default pipeline built by
 // make_minflotransit_pipeline() reproduces the legacy loop *bit-identically*
 // (asserted by tests/engine_test.cc against a verbatim copy of the old
-// driver), while letting callers reorder phases, change stopping rules, or
-// append extra passes (e.g. DownsizePass) without touching the core.
+// driver); the shard and resize layers reuse the passes on their own
+// networks.
 //
 // Control flow: a pass returns kRepeat to be invoked again (up to its
 // entry's repeat budget), kDone to advance to the next entry, or kAbort to
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "sizing/context.h"
-#include "sizing/downsize.h"
 #include "sizing/minflotransit.h"
 #include "util/status.h"
 
@@ -111,13 +110,13 @@ class WPhasePass : public OptimizerPass {
 };
 
 /// One D-phase/W-phase refinement iteration with the trust-region backoff
-/// and the stagnation stopping rule of run_minflotransit. Returns kRepeat
-/// while progress is possible; the enclosing entry's repeat budget is the
-/// paper's max-iteration cap.
+/// (kMaxBetaBackoffs) and the stagnation stopping rule
+/// (kRelImprovementStop, kStagnationPatience) of run_minflotransit.
+/// Returns kRepeat while progress is possible; the enclosing entry's
+/// repeat budget is the paper's max-iteration cap.
 class DPhasePass : public OptimizerPass {
  public:
-  DPhasePass(const DPhaseOptions& opt, double rel_improvement_stop,
-             int patience, int max_beta_backoffs);
+  explicit DPhasePass(const DPhaseOptions& opt);
   const std::string& name() const override { return name_; }
   void begin(SizingContext& ctx, PipelineState& s) override;
   PassStatus run(SizingContext& ctx, PipelineState& s) override;
@@ -125,24 +124,6 @@ class DPhasePass : public OptimizerPass {
  private:
   std::string name_ = "dphase";
   DPhaseOptions opt_;
-  double rel_improvement_stop_;
-  int patience_;
-  int max_beta_backoffs_;
-};
-
-/// Optional polish: greedy local downsizing from the best solution. Not
-/// part of the paper's loop (and not in the default pipeline); exists to
-/// show a pass composed after the fact — near-optimality means it should
-/// reclaim almost nothing.
-class DownsizePass : public OptimizerPass {
- public:
-  explicit DownsizePass(const DownsizeOptions& opt = {});
-  const std::string& name() const override { return name_; }
-  PassStatus run(SizingContext& ctx, PipelineState& s) override;
-
- private:
-  std::string name_ = "downsize";
-  DownsizeOptions opt_;
 };
 
 /// Per-pass instrumentation of one Pipeline::run().

@@ -14,16 +14,23 @@ namespace mft {
 
 namespace {
 
+/// Levels of safety halo around the dirty band. The band's frozen
+/// boundary absorbs first-order load coupling; the halo gives the local
+/// solve room to move the neighbors that matter most.
+constexpr int kHaloLevels = 2;
+/// Bounded local area-recovery budget: D/W refinement iterations run on
+/// the carved band (or the whole network, for a target-only delta) after
+/// the warm W-phase.
+constexpr int kMaxLocalIterations = 8;
+
 /// Bounded D/W area-recovery loop over an already-feasible iterate: the
 /// DPhasePass trust-region machinery run standalone (no TILOS, no full
-/// pipeline), stopping after `iters` iterations or when the pass stops
-/// asking to repeat. `sizes` must meet `target` on entry; on exit it holds
-/// the best feasible iterate found.
+/// pipeline), stopping after kMaxLocalIterations iterations or when the
+/// pass stops asking to repeat. `sizes` must meet `target` on entry; on
+/// exit it holds the best feasible iterate found.
 void refine_area(SizingContext& ctx, const MinflotransitOptions& opt,
-                 double target, int iters, std::vector<double>& sizes) {
-  if (iters <= 0) return;
-  DPhasePass dp(opt.dphase, opt.rel_improvement_stop, opt.patience,
-                opt.max_beta_backoffs);
+                 double target, std::vector<double>& sizes) {
+  DPhasePass dp(opt.dphase);
   PipelineState st;
   st.target_delay = target;
   st.sizes = sizes;
@@ -31,7 +38,7 @@ void refine_area(SizingContext& ctx, const MinflotransitOptions& opt,
   st.best_area = ctx.net().area(sizes);
   st.met_target = true;
   dp.begin(ctx, st);
-  for (int i = 0; i < iters; ++i)
+  for (int i = 0; i < kMaxLocalIterations; ++i)
     if (dp.run(ctx, st) != PassStatus::kRepeat) break;
   sizes = st.best_sizes;
 }
@@ -219,7 +226,7 @@ bool ResizeSession::warm_global(double target, ResizeResult& res) {
   if (!w.feasible) return false;
   std::vector<double> cand = w.sizes;
   install_pins();
-  refine_area(ctx_, opt_.cold, target, opt_.max_local_iterations, cand);
+  refine_area(ctx_, opt_.cold, target, cand);
   return verify_and_adopt(cand, target, ResizeMode::kWarm, res);
 }
 
@@ -247,8 +254,8 @@ bool ResizeSession::warm_local(double target, int lo_level, int hi_level,
   // to live outside the span it is given.
   const TimingReport t = run_sta(net_, work);
   const std::vector<double> usage = band_usage(part, t);
-  double span = part.num_shards() > 1 ? target * (1.0 - opt_.boundary_margin)
-                                      : target;
+  double span =
+      part.num_shards() > 1 ? target * (1.0 - kShardBoundaryMargin) : target;
   for (int s = 0; s < part.num_shards(); ++s)
     if (s != mid) span -= usage[static_cast<std::size_t>(s)];
   if (!(span > 0.0)) return false;
@@ -286,7 +293,7 @@ bool ResizeSession::warm_local(double target, int lo_level, int hi_level,
     SizingContext lctx(*sn.net);
     lctx.set_arena(ctx_.arena());
     if (any_pin) lctx.set_pins(&lpins);
-    refine_area(lctx, opt_.cold, span, opt_.max_local_iterations, lsizes);
+    refine_area(lctx, opt_.cold, span, lsizes);
   }
 
   std::vector<double> cand = work;
@@ -421,8 +428,8 @@ ResizeResult ResizeSession::resize(const ResizeDelta& delta) {
       lo = std::min(lo, level_of[static_cast<std::size_t>(v)]);
       hi = std::max(hi, level_of[static_cast<std::size_t>(v)] + 1);
     }
-    lo = std::max(0, lo - opt_.halo_levels);
-    hi = std::min(net_.num_levels(), hi + opt_.halo_levels);
+    lo = std::max(0, lo - kHaloLevels);
+    hi = std::min(net_.num_levels(), hi + kHaloLevels);
     const std::vector<int>& off = net_.level_offsets();
     const int region = off[static_cast<std::size_t>(hi)] -
                        off[static_cast<std::size_t>(lo)];

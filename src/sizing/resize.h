@@ -77,17 +77,6 @@ struct ResizeOptions {
   /// straight to the cold solve — the warm machinery would be touching
   /// most of the network anyway.
   double full_solve_frac = 0.25;
-  /// Levels of safety halo around the dirty band. The band's frozen
-  /// boundary absorbs first-order load coupling; the halo gives the local
-  /// solve room to move the neighbors that matter most.
-  int halo_levels = 2;
-  /// Span safety margin at the carve boundary (same role as
-  /// ShardOptions::boundary_margin): the band solves to span·(1−margin) so
-  /// prefix arrival drift from the band's own resizing stays covered.
-  double boundary_margin = 0.005;
-  /// Bounded local area-recovery budget: D/W refinement iterations run on
-  /// the carved band after the warm W-phase (0 disables recovery).
-  int max_local_iterations = 8;
   /// Options for cold solves (the initial solve() and every fallback).
   MinflotransitOptions cold;
 };

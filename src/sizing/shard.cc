@@ -16,6 +16,12 @@ namespace mft {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// A shard is re-solved when its span budget or any frozen boundary size
+/// moved by more than this relative tolerance.
+constexpr double kRebudgetTol = 0.01;
+/// Floor on a shard's share of the delay target, as a fraction of the
+/// target (protects degenerate shards from a zero budget).
+constexpr double kMinSpanFrac = 0.02;
 
 /// Per-boundary crossing width (arcs + load terms spanning the boundary),
 /// indexed by cut level c in [0, L]: an edge with endpoint levels lo < hi
@@ -332,7 +338,7 @@ void ShardReconcilePass::begin(SizingContext& ctx, PipelineState& s) {
   }
   const TimingReport& t = ctx.sta(s.sizes);
   const std::vector<double> raw =
-      shard_usage(part_, t, opt_.min_span_frac * s.target_delay);
+      shard_usage(part_, t, kMinSpanFrac * s.target_delay);
   double total = 0.0;
   for (const double r : raw) total += r;
   for (int sh = 0; sh < k; ++sh) {
@@ -349,7 +355,7 @@ void ShardReconcilePass::rebudget(const SizingNetwork& net,
   const int k = part_.num_shards();
   const double cp = t.critical_path;
   const std::vector<double> usage =
-      shard_usage(part_, t, opt_.min_span_frac * target);
+      shard_usage(part_, t, kMinSpanFrac * target);
   double total_usage = 0.0;
   for (const double u : usage) total_usage += u;
 
@@ -404,7 +410,7 @@ void ShardReconcilePass::rebudget(const SizingNetwork& net,
     ShardState& st = shards_[static_cast<std::size_t>(sh)];
     st.span = next[static_cast<std::size_t>(sh)];
     const double ref = std::max(st.solved_span, 1e-12);
-    if (std::abs(st.span - st.solved_span) > opt_.rebudget_tol * ref) {
+    if (std::abs(st.span - st.solved_span) > kRebudgetTol * ref) {
       st.dirty = true;
       continue;
     }
@@ -414,7 +420,7 @@ void ShardReconcilePass::rebudget(const SizingNetwork& net,
     for (std::size_t i = 0; i < fl.size(); ++i) {
       const double now = sizes[static_cast<std::size_t>(fl[i])];
       const double then = st.frozen[i];
-      if (std::abs(now - then) > opt_.rebudget_tol * std::max(then, 1e-12)) {
+      if (std::abs(now - then) > kRebudgetTol * std::max(then, 1e-12)) {
         st.dirty = true;
         break;
       }
@@ -488,7 +494,7 @@ PassStatus ShardReconcilePass::run(SizingContext& ctx, PipelineState& s) {
     job.inner_threads = width;
     const ShardState& st = shards_[static_cast<std::size_t>(sh)];
     job.target_delay =
-        k > 1 ? st.span * (1.0 - opt_.boundary_margin) : st.span;
+        k > 1 ? st.span * (1.0 - kShardBoundaryMargin) : st.span;
     job.options = opt_.options;
     job.label = strf("shard%d@r%d%s", sh, round_, suffix);
     job.shard = sh;

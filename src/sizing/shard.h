@@ -72,23 +72,20 @@
 
 namespace mft {
 
+/// Safety margin reserved at every cut: shards solve to span·(1−margin),
+/// leaving headroom for the cross-boundary load drift of solving all
+/// shards of a round against the previous round's frozen sizes. Not
+/// applied at num_shards == 1 (the monolithic bit-identity contract).
+/// ResizeSession's carved band reserves the same margin against the
+/// prefix arrival drift its own resizing causes.
+constexpr double kShardBoundaryMargin = 0.005;
+
 struct ShardOptions {
   /// Number of level-contiguous shards. 1 = monolithic passthrough;
   /// clamped to what the network's level count supports.
   int num_shards = 4;
   /// Reconciliation rounds (outer repeat budget of ShardReconcilePass).
   int max_rounds = 4;
-  /// A shard is re-solved when its span budget or any frozen boundary
-  /// size moved by more than this relative tolerance.
-  double rebudget_tol = 0.01;
-  /// Floor on a shard's share of the delay target, as a fraction of the
-  /// target (protects degenerate shards from a zero budget).
-  double min_span_frac = 0.02;
-  /// Safety margin reserved at every cut: shards solve to span·(1−margin),
-  /// leaving headroom for the cross-boundary load drift of solving all
-  /// shards of a round against the previous round's frozen sizes. Not
-  /// applied at num_shards == 1 (the monolithic bit-identity contract).
-  double boundary_margin = 0.005;
   /// Per-shard optimizer configuration (the usual pipeline options).
   MinflotransitOptions options;
   /// Wall-clock deadline / virtual-step budget for the *whole* sharded

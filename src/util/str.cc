@@ -50,4 +50,24 @@ std::string strf(const char* fmt, ...) {
   return out;
 }
 
+void append_json_escaped(std::string& dst, std::string_view s) {
+  char buf[8];
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      dst.push_back('\\');
+      dst.push_back(c);
+    } else if (c == '\n') {
+      dst += "\\n";
+    } else if (c == '\t') {
+      dst += "\\t";
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      std::snprintf(buf, sizeof(buf), "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      dst += buf;
+    } else {
+      dst.push_back(c);
+    }
+  }
+}
+
 }  // namespace mft

@@ -24,4 +24,7 @@ std::string to_upper(std::string_view s);
 /// printf-style formatting into a std::string.
 std::string strf(const char* fmt, ...);
 
+/// Appends `s` to `dst` escaped for the inside of a JSON string literal.
+void append_json_escaped(std::string& dst, std::string_view s);
+
 }  // namespace mft

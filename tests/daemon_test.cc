@@ -205,9 +205,17 @@ TEST(SizingDaemon, MalformedAndUnknownRequestsGetStructuredErrors) {
   daemon.handle_line(
       "{\"op\":\"submit\",\"id\":\"z\",\"circuit\":\"nonesuch99\"}");
   daemon.handle_line("{\"op\":\"cancel\"}");              // no ticket
+  // Circuit names outside the grammar: sizes that overflow an int (once
+  // served as adder2 / tiled1x1x1), one over the gate bound that would
+  // allocate until bad_alloc, a zero size, missing fields.
+  const char* bad_circuits[] = {"adder4294967298", "tiled4294967297x1x1",
+                                "adder400000000",  "tiled0x1x1",
+                                "adder",           "tiled1x1"};
+  for (const char* name : bad_circuits)
+    daemon.handle_line(submit_line(name, name, 0.8));
   // Every bad line produced exactly one structured invalid_input result.
   std::vector<std::string> lines = cap.snapshot();
-  ASSERT_EQ(lines.size(), 6u);
+  ASSERT_EQ(lines.size(), 12u);
   for (const std::string& l : lines) {
     EXPECT_EQ(raw_field(l, "event"), "result") << l;
     EXPECT_EQ(raw_field(l, "status"), "invalid_input") << l;
@@ -221,7 +229,7 @@ TEST(SizingDaemon, MalformedAndUnknownRequestsGetStructuredErrors) {
   ASSERT_EQ(good.size(), 1u);
   EXPECT_EQ(raw_field(good[0], "status"), "ok");
   const DaemonStats s = daemon.stats();
-  EXPECT_EQ(s.invalid, 6u);
+  EXPECT_EQ(s.invalid, 12u);
   EXPECT_EQ(s.admitted, 1u);
 }
 
@@ -266,7 +274,7 @@ TEST(SizingDaemon, OverloadBurstYieldsExactlyOneStructuredResponseEach) {
   DaemonOptions opt;
   opt.engine.threads = 1;
   opt.max_queue_depth = 2;  // admission bound
-  opt.shed = true;
+  opt.engine.shed = true;
   SizingDaemon daemon(opt, cap.emit());
 
   // Occupy the lone worker with a slow job so the burst below queues
@@ -313,6 +321,26 @@ TEST(SizingDaemon, OverloadBurstYieldsExactlyOneStructuredResponseEach) {
   EXPECT_GE(s.p99_seconds, s.p50_seconds);
 }
 
+// Shedding is armed by default and through engine.shed alone: a caller
+// that clears it gets its expired queued job run, not shed.
+TEST(SizingDaemon, ClearedEngineShedRunsAnExpiredQueuedJob) {
+  Capture cap;
+  DaemonOptions opt;
+  EXPECT_TRUE(opt.engine.shed);
+  opt.engine.threads = 1;
+  opt.engine.shed = false;
+  SizingDaemon daemon(opt, cap.emit());
+  daemon.handle_line(submit_line("blocker", "tiled4x6x2", 0.55));
+  wait_for_drain_to_workers(daemon, 0);
+  daemon.handle_line(submit_line("expired", "c17", 0.8, 0, 1e-9));
+  daemon.drain();
+
+  const std::vector<std::string> rs = results_for(cap.snapshot(), "expired");
+  ASSERT_EQ(rs.size(), 1u);
+  EXPECT_NE(raw_field(rs[0], "status"), "shed") << rs[0];
+  EXPECT_EQ(daemon.stats().engine.shed, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Deadline-pressure admission (the ECO-serving bugfix trio)
 // ---------------------------------------------------------------------------
@@ -357,7 +385,8 @@ TEST(SizingDaemon, FailureStormDoesNotContaminateTheRuntimeEwma) {
   Capture cap;
   DaemonOptions opt;
   opt.engine.threads = 1;
-  opt.shed = true;  // deadline_pressure stays 0: admission never refuses
+  // deadline_pressure stays 0: admission never refuses
+  opt.engine.shed = true;
   SizingDaemon daemon(opt, cap.emit());
 
   daemon.handle_line(submit_line("seed", "c17", 0.8));

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "gen/blocks.h"
+#include "gen/circuit_name.h"
 #include "gen/iscas_analog.h"
+#include "gen/tiled.h"
 #include "netlist/bench_io.h"
 #include "netlist/stats.h"
+#include "util/status.h"
 
 namespace mft {
 namespace {
@@ -243,6 +246,38 @@ TEST(IscasAnalog, BenchRoundTrip) {
   EXPECT_EQ(back.num_logic_gates(), nl.num_logic_gates());
   EXPECT_EQ(back.num_inputs(), nl.num_inputs());
   EXPECT_EQ(back.num_outputs(), nl.num_outputs());
+}
+
+TEST(NamedCircuit, EveryAcceptedNameBuildsTheDirectGeneratorsNetlist) {
+  std::vector<std::pair<std::string, Netlist>> cases;
+  cases.emplace_back("c17", make_c17());
+  cases.emplace_back("adder1", make_ripple_adder(1));
+  cases.emplace_back("adder32", make_ripple_adder(32));
+  cases.emplace_back("adder007", make_ripple_adder(7));
+  cases.emplace_back("tiled1x1x1", make_tiled_datapath({1, 1, 1}));
+  cases.emplace_back("tiled4x6x2", make_tiled_datapath({4, 6, 2}));
+  for (const IscasAnalogSpec& spec : iscas85_specs())
+    cases.emplace_back(spec.name, make_iscas_analog(spec.name));
+  for (const auto& [name, direct] : cases) {
+    const Netlist nl = make_named_circuit(name);
+    EXPECT_EQ(nl.name(), direct.name()) << name;
+    EXPECT_EQ(write_bench_string(nl), write_bench_string(direct)) << name;
+  }
+}
+
+TEST(NamedCircuit, RefusesNamesOutsideTheGrammarOrOverTheGateBound) {
+  for (const char* name :
+       {"adder", "adder0", "adder-3", "adder+3", "adder 3", "adder3x",
+        "adder99999999999999999999999", "adder4294967298", "adder111112",
+        "tiled1x1", "tiledx1x1", "tiled1x1x1x1", "tiled0x1x1",
+        "tiled4294967297x1x1", "tiled1000x1000x1", "c9999", ""}) {
+    try {
+      make_named_circuit(name);
+      ADD_FAILURE() << "accepted '" << name << "'";
+    } catch (const EngineError& e) {
+      EXPECT_EQ(e.status(), EngineStatus::kInvalidInput) << name;
+    }
+  }
 }
 
 }  // namespace

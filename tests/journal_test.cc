@@ -11,8 +11,10 @@
 //    clean run leaves nothing to recover; a simulated crash (results
 //    stripped from the journal) re-admits every unfinished request and
 //    reproduces bit-identical sizes_hash values under the journaled
-//    seeds; injected faults at journal.append / journal.replay degrade
-//    to structured error responses, never a dead daemon.
+//    seeds; a journaled submit whose circuit name this build refuses
+//    replays as an invalid_input result; injected faults at
+//    journal.append / journal.replay degrade to structured error
+//    responses, never a dead daemon.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -283,6 +285,31 @@ TEST_F(JournalTest, CrashReplayReproducesBitIdenticalHashes) {
   EXPECT_EQ(log.hash_for("b"), ref.hash_for("b"));
   // And the terminal results are now journaled, so a second restart is a
   // no-op recovery.
+  EventLog log2;
+  SizingDaemon d2(durable_opts(path), log2.emit());
+  EXPECT_EQ(json_field(log2.snapshot().at(0), "recovered"), "0");
+}
+
+// A journal from a build that served an out-of-range size (sscanf once
+// read adder4294967298 as adder2) replays that submit as a structured
+// invalid_input result and journals it finished.
+TEST_F(JournalTest, ReplayAnswersARefusedCircuitNameWithInvalidInput) {
+  const std::string path = temp_path("journal_refused.mftj");
+  Journal::rewrite(path, {"{\"type\":\"submit\",\"rid\":0,\"id\":\"a\","
+                          "\"circuit\":\"adder4294967298\",\"ratio\":0.8}"});
+  EventLog log;
+  {
+    SizingDaemon d(durable_opts(path), log.emit());
+    d.drain();
+  }
+  std::vector<std::string> results;
+  for (const std::string& l : log.snapshot()) {
+    EXPECT_NE(json_field(l, "event"), "accepted") << l;
+    if (json_field(l, "event") == "result") results.push_back(l);
+  }
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(json_field(results[0], "id"), "a");
+  EXPECT_EQ(json_field(results[0], "status"), "invalid_input");
   EventLog log2;
   SizingDaemon d2(durable_opts(path), log2.emit());
   EXPECT_EQ(json_field(log2.snapshot().at(0), "recovered"), "0");

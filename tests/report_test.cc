@@ -1,11 +1,11 @@
 // Tests for the sizing-report module and a few cross-module seams that the
-// CLI flow exercises (tech-map + transistor sizing end to end, tradeoff on
-// tiny nets, tech parameter laws).
+// CLI flow exercises (tech-map + transistor sizing end to end, tech
+// parameter laws).
 #include <gtest/gtest.h>
 
 #include "gen/blocks.h"
+#include "sizing/minflotransit.h"
 #include "sizing/report.h"
-#include "sizing/tradeoff.h"
 #include "timing/lowering.h"
 
 namespace mft {

@@ -6,11 +6,11 @@
 
 #include <algorithm>
 
+#include "engine/runner.h"
 #include "gen/blocks.h"
 #include "gen/iscas_analog.h"
 #include "sizing/minflotransit.h"
 #include "sizing/pass.h"
-#include "sizing/tradeoff.h"
 #include "timing/lowering.h"
 #include "util/abort.h"
 #include "util/rng.h"
@@ -277,20 +277,27 @@ TEST(Minflotransit, UnreachableTargetReportsTilosFailure) {
 TEST(Tradeoff, CurveShapesMatchFigureSeven) {
   Netlist nl = make_ripple_adder(8);
   LoweredCircuit lc = lower(nl);
-  const TradeoffCurve curve =
-      area_delay_sweep(lc.net, {1.0, 0.8, 0.6, 0.5});
-  ASSERT_EQ(curve.points.size(), 4u);
+  std::vector<SizingJob> jobs;
+  for (const double ratio : {1.0, 0.8, 0.6, 0.5}) {
+    SizingJob job;
+    job.target_ratio = ratio;
+    jobs.push_back(std::move(job));
+  }
+  const BatchResult batch = JobRunner().run({&lc.net}, jobs);
+  ASSERT_EQ(batch.results.size(), 4u);
   double prev = 0.0;
-  for (const TradeoffPoint& p : curve.points) {
-    ASSERT_TRUE(p.tilos_met && p.mft_met) << p.target_ratio;
+  for (const JobResult& j : batch.results) {
+    const MinflotransitResult& r = j.result;
+    ASSERT_TRUE(j.ok && r.initial.met_target && r.met_target) << j.label;
     // MINFLOTRANSIT on or below the TILOS curve.
-    EXPECT_LE(p.mft_area_ratio, p.tilos_area_ratio * (1 + 1e-9));
+    EXPECT_LE(r.area, r.initial.area * (1 + 1e-9));
     // Areas grow as the target tightens.
-    EXPECT_GE(p.mft_area_ratio, prev - 1e-9);
-    prev = p.mft_area_ratio;
+    EXPECT_GE(r.area / j.min_area, prev - 1e-9);
+    prev = r.area / j.min_area;
   }
   // At ratio 1.0 no sizing is needed.
-  EXPECT_NEAR(curve.points.front().mft_area_ratio, 1.0, 1e-9);
+  const JobResult& loosest = batch.results.front();
+  EXPECT_NEAR(loosest.result.area / loosest.min_area, 1.0, 1e-9);
 }
 
 TEST(Minflotransit, WorksOnTransistorGranularity) {
@@ -500,8 +507,7 @@ void expect_warm_dw_passes_match_cold(const Netlist& nl, double ratio) {
   ASSERT_EQ(TilosPass(opt.tilos).run(warm, ws), PassStatus::kDone);
   ASSERT_EQ(WPhasePass().run(warm, ws), PassStatus::kDone);
   PipelineState cs = ws;
-  DPhasePass dphase(opt.dphase, opt.rel_improvement_stop, opt.patience,
-                    opt.max_beta_backoffs);
+  DPhasePass dphase(opt.dphase);
   dphase.begin(warm, ws);
   dphase.begin(cold, cs);
   int passes = 0;
