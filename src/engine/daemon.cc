@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -27,11 +29,13 @@ namespace {
 // values only, no nesting. A dedicated ~100-line parser keeps the daemon
 // dependency-free and makes "malformed" a precise, testable notion: any
 // deviation is a parse error carried back as kInvalidInput, never an
-// aborted daemon.
+// aborted daemon. Numbers follow JSON's grammar (no nan, inf, hex or
+// leading '+') and must be finite as a double; a number keeps its token
+// text so integer fields parse exactly, never through a double.
 
 struct JsonVal {
   enum Kind { kString, kNumber, kBool, kNull } kind = kNull;
-  std::string str;
+  std::string str;  ///< a string's value, or a number's token text
   double num = 0.0;
   bool b = false;
 };
@@ -86,6 +90,28 @@ class FlatJsonParser {
       return true;
     }
     return false;
+  }
+
+  bool digits() {
+    const std::size_t from = pos_;
+    while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
+    return pos_ > from;
+  }
+
+  // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, finite as a double.
+  bool parse_number(JsonVal& out) {
+    const std::size_t start = pos_;
+    eat('-');
+    if (!eat('0') && !digits()) return false;
+    if (eat('.') && !digits()) return false;
+    if (eat('e') || eat('E')) {
+      if (!eat('+')) eat('-');
+      if (!digits()) return false;
+    }
+    out.kind = JsonVal::kNumber;
+    out.str = s_.substr(start, pos_ - start);
+    out.num = std::strtod(out.str.c_str(), nullptr);
+    return std::isfinite(out.num);
   }
 
   bool parse_string(std::string& out) {
@@ -164,14 +190,7 @@ class FlatJsonParser {
       pos_ += 4;
       return true;
     }
-    const char* start = s_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) return false;
-    out.kind = JsonVal::kNumber;
-    out.num = v;
-    pos_ += static_cast<std::size_t>(end - start);
-    return true;
+    return parse_number(out);
   }
 
   const std::string& s_;
@@ -187,15 +206,53 @@ std::string get_string(const JsonObj& obj, const char* key,
   return it->second.str;
 }
 
-double get_number(const JsonObj& obj, const char* key, double fallback,
-                  bool* present = nullptr) {
+double get_number(const JsonObj& obj, const char* key, double fallback) {
   auto it = obj.find(key);
-  if (it == obj.end() || it->second.kind != JsonVal::kNumber) {
-    if (present != nullptr) *present = false;
-    return fallback;
-  }
-  if (present != nullptr) *present = true;
+  if (it == obj.end() || it->second.kind != JsonVal::kNumber) return fallback;
   return it->second.num;
+}
+
+/// Reads field `key` as an integer of type T exactly (std::from_chars on
+/// the number's token text, never through a double). False, with `out`
+/// untouched, when the key is absent or is not an integer in T's range: a
+/// string, a fraction or exponent, a sign T cannot hold, too many digits.
+template <typename T>
+bool find_integer(const JsonObj& obj, const char* key, T& out) {
+  auto it = obj.find(key);
+  if (it == obj.end() || it->second.kind != JsonVal::kNumber) return false;
+  const char* first = it->second.str.data();
+  const char* last = first + it->second.str.size();
+  T v{};
+  const auto [end, ec] = std::from_chars(first, last, v);
+  if (ec != std::errc() || end != last) return false;
+  out = v;
+  return true;
+}
+
+/// Integer request field: `fallback` when absent; otherwise it must be an
+/// integer in [lo, hi], or the request is refused with kInvalidInput.
+template <typename T>
+T get_integer(const JsonObj& obj, const char* key, T fallback,
+              T lo = std::numeric_limits<T>::min(),
+              T hi = std::numeric_limits<T>::max()) {
+  if (obj.find(key) == obj.end()) return fallback;
+  T v{};
+  if (!find_integer(obj, key, v) || v < lo || v > hi)
+    throw EngineError(EngineStatus::kInvalidInput,
+                      strf("\"%s\" must be an integer in [%s, %s]", key,
+                           std::to_string(lo).c_str(),
+                           std::to_string(hi).c_str()));
+  return v;
+}
+
+/// The session a resize or release names: a positive integer, or the
+/// request is refused with kInvalidInput.
+std::uint64_t get_session(const JsonObj& obj, const char* op) {
+  std::uint64_t sid = 0;
+  if (!find_integer(obj, "session", sid) || sid == 0)
+    throw EngineError(EngineStatus::kInvalidInput,
+                      strf("%s needs a positive integer \"session\"", op));
+  return sid;
 }
 
 /// Truthiness helper: accepts a JSON bool or a non-zero number (clients
@@ -271,19 +328,29 @@ std::uint64_t sizes_hash(const std::vector<double>& sizes) {
 
 /// Shared by live submits and journal replay: both carry the same flat
 /// key set, so a journaled submit record round-trips through this exactly
-/// like the original request line did.
+/// like the original request line did. Throws kInvalidInput for a field
+/// out of its range; integers are exact, so a journaled seed replays as
+/// the seed it pinned.
 SizingJob job_from_obj(const JsonObj& obj, const std::string& circuit) {
   SizingJob job;
   job.label = get_string(obj, "label", circuit);
   job.target_ratio = get_number(obj, "ratio", 0.6);
   job.target_delay = get_number(obj, "target", 0.0);
-  job.priority = static_cast<int>(get_number(obj, "priority", 0.0));
+  job.priority = get_integer<int>(obj, "priority", 0);
   job.deadline_seconds = get_number(obj, "deadline", 0.0);
-  job.max_steps =
-      static_cast<std::int64_t>(get_number(obj, "max_steps", 0.0));
+  job.max_steps = get_integer<std::int64_t>(obj, "max_steps", 0);
   job.inner_threads =
-      static_cast<int>(get_number(obj, "inner_threads", 0.0));
-  job.seed = static_cast<std::uint64_t>(get_number(obj, "seed", 0.0));
+      get_integer<int>(obj, "inner_threads", 0, 0, resolve_pool_threads(0));
+  job.seed = get_integer<std::uint64_t>(obj, "seed", 0);
+  if (!(job.target_ratio > 0.0))
+    throw EngineError(EngineStatus::kInvalidInput,
+                      "\"ratio\" must be a positive number");
+  if (!(job.target_delay >= 0.0))
+    throw EngineError(EngineStatus::kInvalidInput,
+                      "\"target\" must be a non-negative number");
+  if (!(job.deadline_seconds >= 0.0))
+    throw EngineError(EngineStatus::kInvalidInput,
+                      "\"deadline\" must be a non-negative number");
   return job;
 }
 
@@ -380,19 +447,23 @@ bool parse_vertex_list(const std::string& s,
       err = strf("bad entry '%s': expected vertex:value", item.c_str());
       return false;
     }
-    char* endp = nullptr;
-    const long v = std::strtol(item.c_str(), &endp, 10);
-    if (endp != item.c_str() + colon || v < 0) {
+    // The whole id, parsed into NodeId's range (never narrowed from a
+    // wider integer), and a finite value.
+    NodeId v = 0;
+    const char* first = item.c_str();
+    const auto [idend, ec] = std::from_chars(first, first + colon, v);
+    if (ec != std::errc() || idend != first + colon || v < 0) {
       err = strf("bad vertex in '%s'", item.c_str());
       return false;
     }
-    const char* vstart = item.c_str() + colon + 1;
+    const char* vstart = first + colon + 1;
+    char* endp = nullptr;
     const double val = std::strtod(vstart, &endp);
-    if (endp == vstart || *endp != '\0') {
+    if (endp == vstart || *endp != '\0' || !std::isfinite(val)) {
       err = strf("bad value in '%s'", item.c_str());
       return false;
     }
-    out.emplace_back(static_cast<NodeId>(v), val);
+    out.emplace_back(v, val);
   }
   return true;
 }
@@ -469,33 +540,22 @@ void SizingDaemon::handle_line(const std::string& line) {
     } else if (op == "resize") {
       ParsedResize req;
       req.id = id;
-      bool present = false;
-      const double s = get_number(obj, "session", 0.0, &present);
-      if (!present || s < 1)
-        throw EngineError(EngineStatus::kInvalidInput,
-                          "resize needs a positive \"session\"");
-      req.sid = static_cast<std::uint64_t>(s);
+      req.sid = get_session(obj, "resize");
       req.target = get_number(obj, "target", 0.0);
       req.loads = get_string(obj, "loads");
       req.pins = get_string(obj, "pins");
       do_resize(req);
     } else if (op == "release") {
-      bool present = false;
-      const double s = get_number(obj, "session", 0.0, &present);
-      if (!present || s < 1)
-        throw EngineError(EngineStatus::kInvalidInput,
-                          "release needs a positive \"session\"");
-      do_release(id, static_cast<std::uint64_t>(s));
+      do_release(id, get_session(obj, "release"));
     } else if (op == "cancel") {
-      bool present = false;
-      const double t = get_number(obj, "ticket", -1.0, &present);
-      if (!present || t < 0)
+      JobTicket t = 0;
+      if (!find_integer(obj, "ticket", t))
         throw EngineError(EngineStatus::kInvalidInput,
-                          "cancel needs a non-negative \"ticket\"");
+                          "cancel needs a non-negative integer \"ticket\"");
       bool ok = false;
       std::string note;
       try {
-        ok = runner_->cancel(static_cast<JobTicket>(t));
+        ok = runner_->cancel(t);
         if (!ok) note = "already completed";
       } catch (const std::exception& e) {
         note = e.what();  // never-issued ticket
@@ -504,8 +564,7 @@ void SizingDaemon::handle_line(const std::string& line) {
       JsonLine out;
       out.str("event", "cancel");
       if (!id.empty()) out.str("id", id);
-      out.uinteger("ticket", static_cast<unsigned long long>(t))
-          .boolean("ok", ok);
+      out.uinteger("ticket", t).boolean("ok", ok);
       if (!note.empty()) out.str("error", note);
       emit_locked(out.done());
     } else if (op == "stats") {
@@ -1006,14 +1065,12 @@ void SizingDaemon::recover_from_journal() {
       }
       continue;
     }
-    bool has_rid = false;
-    const auto rid =
-        static_cast<std::uint64_t>(get_number(obj, "rid", 0.0, &has_rid));
-    if (!has_rid) continue;
+    std::uint64_t rid = 0;
+    if (!find_integer(obj, "rid", rid)) continue;
     any_rid = true;
     max_rid = std::max(max_rid, rid);
-    const auto sid =
-        static_cast<std::uint64_t>(get_number(obj, "session", 0.0));
+    std::uint64_t sid = 0;
+    find_integer(obj, "session", sid);
     max_sid = std::max(max_sid, sid);
     if (type == "submit") {
       if (sid != 0) {
@@ -1063,7 +1120,9 @@ void SizingDaemon::recover_from_journal() {
   // as operator evidence (rotation stays off so it cannot erode), and
   // serve on fresh.
   if (has_config) {
-    const int ver = static_cast<int>(get_number(config, "version", 1.0));
+    int ver = 1;  // absent: the first format
+    if (config.count("version") != 0 && !find_integer(config, "version", ver))
+      ver = 0;  // not an integer: incompatible
     const std::uint64_t seed = std::strtoull(
         get_string(config, "base_seed", "0").c_str(), nullptr, 10);
     const bool fm = get_flag(config, "fast_math");
@@ -1181,8 +1240,8 @@ void SizingDaemon::recover_from_journal() {
     const std::uint64_t sid = a.sid;
     const std::string id = get_string(*a.obj, "id");
     const std::string circuit_name = get_string(*a.obj, "circuit");
-    const SizingJob job = job_from_obj(*a.obj, circuit_name);
     try {
+      const SizingJob job = job_from_obj(*a.obj, circuit_name);
       const SizingNetwork& net = circuit(circuit_name);
       std::lock_guard<std::mutex> lock(mu_);
       const JobTicket t = runner_->submit_detached(
@@ -1197,9 +1256,10 @@ void SizingDaemon::recover_from_journal() {
       if (sid != 0) out.uinteger("session", sid);
       emit_locked(out.uinteger("rid", rid).uinteger("ticket", t).done());
     } catch (const std::exception& e) {
-      // Journal from a build that accepted a circuit name this one refuses
-      // or does not know: give the request its terminal response and
-      // journal it as finished so it stops replaying.
+      // Journal from a build that accepted a circuit name or a field this
+      // one refuses (an inner_threads above this host's cores, say): give
+      // the request its terminal response and journal it as finished so it
+      // stops replaying.
       const auto* refused = dynamic_cast<const EngineError*>(&e);
       const EngineStatus status =
           refused != nullptr ? refused->status() : EngineStatus::kInternal;

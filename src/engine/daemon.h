@@ -16,6 +16,15 @@
 //   {"op":"stats"}
 //   {"op":"shutdown"}
 //
+// Numbers are JSON numbers only (no nan, inf, hex or leading '+') and
+// finite as a double. Integer fields — priority, max_steps, inner_threads,
+// seed, session, ticket — are parsed exactly from the token text, never
+// through a double, and must be integers within their type (session > 0,
+// ticket and inner_threads >= 0, inner_threads at most the host's cores).
+// ratio must be > 0, target and deadline >= 0. In "loads"/"pins" a vertex
+// id must fit NodeId whole and a value must be finite. Any violation is
+// an "invalid_input" result with no "accepted" ack.
+//
 // Responses (events; "id" echoes the request's id when given):
 //   {"event":"accepted","id":...,"ticket":3}           // submit admitted
 //   {"event":"result","id":...,"ticket":3,"status":"ok",...}

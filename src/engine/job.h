@@ -99,9 +99,6 @@ struct JobResult {
   /// the same ticket and seed, so a retried success is bit-identical to
   /// what a fault-free run would have produced.
   int attempts = 1;
-  /// Total backoff seconds scheduled across this job's retries
-  /// (deterministic; see util/backoff.h).
-  double backoff_seconds = 0.0;
   int thread = -1;             ///< worker that ran it (informational)
   int inner_threads = 1;       ///< resolved inner-loop thread count
   int shard = -1;              ///< SizingJob::shard, echoed

@@ -378,7 +378,6 @@ JobResult StreamingRunner::stub_result(const Item& item, EngineStatus status,
   out.shard_round = item.job.shard_round;
   out.queue_seconds = now - item.submit_at;
   out.attempts = item.attempt;
-  out.backoff_seconds = item.backoff_total;
   out.ok = false;
   out.status = status;
   out.error = error;
@@ -441,10 +440,6 @@ bool StreamingRunner::maybe_retry(Item& item, const JobResult& out) {
   Item again = item;  // same ticket, same seed: a retried success is
                       // bit-identical to a fault-free run
   again.attempt += 1;
-  const double backoff =
-      retry_backoff_seconds(opt_.retry, again.job.seed, again.attempt);
-  again.backoff_total += backoff;
-  again.not_before = backoff > 0 ? now_() + backoff : 0.0;
   if (!queue_.push(std::move(again)))
     return false;  // shutdown closed the queue: the failure stands
   std::lock_guard<std::mutex> lock(mu_);
@@ -469,16 +464,6 @@ void StreamingRunner::worker_main(int worker_id, WorkerSlot* slot) {
     // killing the thread — poll()/wait() on the ticket always complete.
     try {
       MFT_FAULT_POINT("stream.worker");
-      // Retry backoff gate: a re-enqueued item carries the instant before
-      // which it must not run. Honored here (rather than in the queue) so
-      // the scheduler key — and with it every determinism law — is
-      // untouched; retries are rare and the backoffs short, so parking
-      // the worker is the simple correct trade.
-      if (item.not_before > 0) {
-        while (now_() < item.not_before &&
-               !(item.token != nullptr && item.token->canceled()))
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
       const double dispatched_at = now_();
       // Overload shedding: the deadline already passed while the job sat
       // queued, so running it cannot produce a result the caller still
@@ -523,7 +508,6 @@ void StreamingRunner::worker_main(int worker_id, WorkerSlot* slot) {
         inf.submit_at = item.submit_at;
         inf.queue_seconds = dispatched_at - item.submit_at;
         inf.attempt = item.attempt;
-        inf.backoff_total = item.backoff_total;
         inf.retain = item.retain;
         inf.on_complete = item.on_complete;
       }
@@ -545,7 +529,6 @@ void StreamingRunner::worker_main(int worker_id, WorkerSlot* slot) {
       out.thread = worker_id;
       out.queue_seconds = dispatched_at - item.submit_at;
       out.attempts = item.attempt;
-      out.backoff_seconds = item.backoff_total;
       if (!maybe_retry(item, out)) finish(item, std::move(out));
     } catch (const std::exception& e) {
       slot->busy.store(0, std::memory_order_release);
@@ -653,7 +636,6 @@ void StreamingRunner::watchdog_scan() {
     out.queue_seconds = info.queue_seconds;
     out.wall_seconds = now - (info.submit_at + info.queue_seconds);
     out.attempts = info.attempt;
-    out.backoff_seconds = info.backoff_total;
     out.ok = false;
     out.status = EngineStatus::kHung;
     out.error =

@@ -41,9 +41,9 @@
 //    about dispatch or results changes.
 //  - Retry. JobRunnerOptions::retry re-enqueues jobs that failed with a
 //    transient status (kWorkerDied, kInternal) under the same ticket and
-//    seed with deterministic seeded backoff (util/backoff.h), so a
-//    retried success is bit-identical to a fault-free run; the attempt
-//    count is echoed into JobResult::attempts.
+//    seed, at once (util/retry.h), so a retried success is bit-identical
+//    to a fault-free run; the attempt count is echoed into
+//    JobResult::attempts.
 //  - Context eviction. Each worker keeps a ContextPool — per-network
 //    SizingContexts keyed by SizingNetwork::serial() under a shared LRU
 //    policy (util/lru.h) bounded by JobRunnerOptions::context_cache_limit
@@ -79,9 +79,9 @@
 
 #include "engine/job.h"
 #include "util/abort.h"
-#include "util/backoff.h"
 #include "util/fault.h"
 #include "util/lru.h"
+#include "util/retry.h"
 
 namespace mft {
 
@@ -155,9 +155,9 @@ struct JobRunnerOptions {
   /// that ignores its token (a true hang) runs out the grace.
   double hang_grace = 0.05;
   /// Transient-failure retry policy (worker death, internal faults):
-  /// failed jobs are re-enqueued under the same ticket and seed with
-  /// deterministic seeded backoff, up to retry.max_attempts total
-  /// attempts. Default: off. See util/backoff.h.
+  /// failed jobs are re-enqueued at once under the same ticket and seed,
+  /// up to retry.max_attempts total attempts. Default: off. See
+  /// util/retry.h.
   RetryPolicy retry;
   /// Base of the deterministic per-job seed derivation.
   std::uint64_t base_seed = 0x9e3779b97f4a7c15ull;
@@ -534,12 +534,8 @@ class StreamingRunner {
     /// from there). Shared with tokens_ so cancel() reaches a job already
     /// handed to a worker.
     std::shared_ptr<AbortToken> token;
-    /// Retry state: which attempt this dispatch is (1-based), the total
-    /// backoff scheduled so far, and the runner-clock instant before which
-    /// a re-enqueued item must not be dispatched.
+    /// Retry state: which attempt this dispatch is (1-based).
     int attempt = 1;
-    double backoff_total = 0.0;
-    double not_before = 0.0;
   };
 
   /// One worker's lock-free heartbeat slot, read by the watchdog.
@@ -567,7 +563,6 @@ class StreamingRunner {
     double submit_at = 0.0;
     double queue_seconds = 0.0;
     int attempt = 1;
-    double backoff_total = 0.0;
     bool retain = true;
     std::function<void(const JobResult&)> on_complete;
   };

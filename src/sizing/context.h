@@ -26,9 +26,8 @@ namespace mft {
 class AbortToken;
 class ThreadArena;
 
-/// Per-context STA instrumentation, aggregated over both embedded
-/// scratches (the pass-level one and the one inside the D-phase
-/// workspace). Counters start at zero at context creation and after every
+/// Per-context STA instrumentation of the context's one timing scratch.
+/// Counters start at zero at context creation and after every
 /// begin_job().
 struct ContextStats {
   std::int64_t sta_full_runs = 0;
@@ -53,23 +52,25 @@ class SizingContext {
 
   const SizingNetwork& net() const { return *net_; }
 
-  /// Shared incremental-STA scratch for the passes (TILOS keeps its own
-  /// internal scratch; the pipeline-level checks run through this one).
-  TimingScratch& timing() { return timing_; }
+  /// The context's one incremental-STA scratch, inside the D-phase
+  /// workspace: the passes and the D-phase time through it (TILOS keeps
+  /// its own internal scratch).
+  TimingScratch& timing() { return dphase_.timing; }
 
-  /// D-phase workspace: cached LP structure, flow arena, and its own
-  /// embedded TimingScratch.
+  /// D-phase workspace: cached LP structure, flow arena, and the context's
+  /// timing scratch.
   DPhaseWorkspace& dphase() { return dphase_; }
 
-  /// Convenience: incremental STA through the context scratch.
+  /// Convenience: incremental STA through the context scratch; the report
+  /// is valid until the next run on it (run_dphase included).
   const TimingReport& sta(const std::vector<double>& sizes) {
-    return run_sta(*net_, sizes, timing_);
+    return run_sta(*net_, sizes, dphase_.timing);
   }
 
   /// Inner-loop parallelism: wires `arena` (may be nullptr for sequential)
-  /// into both embedded timing scratches and exposes it to the passes
-  /// (TILOS STA, W-phase sweeps). Not owned; the caller — the engine
-  /// worker, normally — keeps it alive while the context runs jobs.
+  /// into the timing scratch and exposes it to the passes (TILOS STA,
+  /// W-phase sweeps). Not owned; the caller — the engine worker, normally
+  /// — keeps it alive while the context runs jobs.
   /// Results are bit-identical with or without an arena.
   void set_arena(ThreadArena* arena);
   ThreadArena* arena() const { return arena_; }
@@ -91,11 +92,11 @@ class SizingContext {
   const std::vector<double>* pins() const { return pins_; }
 
   /// Opt-in FP-reassociated delay folds for every kernel run through this
-  /// context (TILOS STA, the pass-level scratch, the D-phase's embedded
-  /// scratch, W-phase load folds). Off by default; flipping it forces the
-  /// scratches' next run to a full recompute so exact and fast delays never
-  /// mix in one report. Never enabled on determinism-gated paths (shard
-  /// bit-identity, streaming-vs-batch equivalence).
+  /// context (TILOS STA, the context scratch, W-phase load folds). Off by
+  /// default; flipping it forces the scratch's next run to a full
+  /// recompute so exact and fast delays never mix in one report. Never
+  /// enabled on determinism-gated paths (shard bit-identity,
+  /// streaming-vs-batch equivalence).
   void set_fast_math(bool on);
   bool fast_math() const { return fast_math_; }
 
@@ -105,7 +106,7 @@ class SizingContext {
   /// D-phase solve starts cold and its pivots and wall time never depend on
   /// the job that ran before it. Later solves of the job warm-start from
   /// their predecessor. Cached solver state (LP structure, flow arena,
-  /// last-sizes vector) is kept — that reuse is the point of pooling
+  /// timing scratch) is kept — that reuse is the point of pooling
   /// contexts.
   void begin_job() {
     reset_instrumentation();
@@ -124,7 +125,6 @@ class SizingContext {
   AbortToken* abort_ = nullptr;
   const std::vector<double>* pins_ = nullptr;
   bool fast_math_ = false;
-  TimingScratch timing_;
   DPhaseWorkspace dphase_;
 };
 

@@ -17,8 +17,11 @@ DPhaseResult run_dphase(const SizingNetwork& net,
   DPhaseWorkspace local;
   DPhaseWorkspace& w = ws ? *ws : local;
   if (w.built && w.net_serial != net.serial()) {
-    // A different network than the cached build: start over.
-    w = DPhaseWorkspace{};
+    // A different network than the cached build: rebuild the LP (below)
+    // and the flow state. The timing scratch stays: it belongs to the
+    // owning context (arena, delay mode) and re-times on a new serial.
+    w.flow = DualFlowLp::Workspace{};
+    w.built = false;
   }
 
   const TimingReport& timing = changed != nullptr

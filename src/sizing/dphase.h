@@ -50,7 +50,9 @@ struct DPhaseResult {
 /// network are built on the first call and only their bounds/coefficients
 /// are rewritten afterwards; `problem_builds()` stays at 1 as long as the
 /// topology is unchanged (the tier-1 suite asserts this). The embedded
-/// TimingScratch makes the per-iteration STA incremental as well.
+/// TimingScratch makes the per-iteration STA incremental as well (in a
+/// SizingContext it is the context's one scratch). A new network serial
+/// rebuilds the LP and flow state but keeps the scratch, which re-times.
 struct DPhaseWorkspace {
   DualFlowLp lp{0};
   DualFlowLp::Workspace flow;
@@ -63,11 +65,12 @@ struct DPhaseWorkspace {
 };
 
 /// `changed` (optional) is a superset of the vertices whose size differs
-/// from the previous run_dphase call on the same workspace — forwarded to
+/// from the sizes the workspace's scratch last timed — forwarded to
 /// run_sta's changed-hint overload so the internal STA skips its O(n)
-/// size-diff scan. Pass nullptr whenever the diff is not known exactly
-/// (fresh workspace, re-anchored iterate); the scan fallback is always
-/// correct. Results are identical either way.
+/// size-diff scan. DPhasePass passes an empty hint when the acceptance STA
+/// has just timed `sizes` on the same scratch, and nullptr whenever the
+/// diff is not known (fresh workspace, re-anchored iterate); the scan
+/// fallback is always correct. Results are identical either way.
 DPhaseResult run_dphase(const SizingNetwork& net,
                         const std::vector<double>& sizes,
                         const DPhaseOptions& opt = {},

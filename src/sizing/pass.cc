@@ -70,23 +70,18 @@ void DPhasePass::begin(SizingContext&, PipelineState& s) {
   s.beta = opt_.beta;
   s.backoffs = 0;
   s.stagnant = 0;
-  // The context (and with it the D-phase timing scratch) may be reused from
-  // an earlier job; the first iteration must rediscover the diff by scan.
-  s.dphase_changed.clear();
-  s.dphase_changed_valid = false;
+  // The context scratch last timed whatever ran before this pass, maybe an
+  // earlier job: the first iteration finds the difference by scan.
+  s.sizes_timed = false;
 }
 
 PassStatus DPhasePass::run(SizingContext& ctx, PipelineState& s) {
   const SizingNetwork& net = ctx.net();
   DPhaseOptions dopt = opt_;
   dopt.beta = s.beta;
-  const DPhaseResult d =
-      run_dphase(net, s.sizes, dopt, &ctx.dphase(),
-                 s.dphase_changed_valid ? &s.dphase_changed : nullptr);
-  // The D-phase scratch has now timed exactly s.sizes: restart the diff
-  // accumulation from here.
-  s.dphase_changed.clear();
-  s.dphase_changed_valid = true;
+  const std::vector<NodeId> none_changed;
+  const DPhaseResult d = run_dphase(net, s.sizes, dopt, &ctx.dphase(),
+                                    s.sizes_timed ? &none_changed : nullptr);
   if (!d.solved) return PassStatus::kDone;
   const WPhaseResult w = solve_wphase(net, d.budget, s.sizes, ctx.arena(),
                                       ctx.abort(), ctx.fast_math(),
@@ -97,22 +92,18 @@ PassStatus DPhasePass::run(SizingContext& ctx, PipelineState& s) {
   const bool ok = w.feasible &&
                   timing.critical_path <= s.target_delay * (1.0 + 1e-9) &&
                   area <= s.best_area * (1.0 + 1e-9);
+  // The scratch now holds w.sizes, which become s.sizes only if accepted.
+  s.sizes_timed = ok;
   if (!ok) {
     // Linearization overstepped (timing broke or area regressed):
     // re-anchor at the best solution, shrink the trust region, retry.
-    // The jump to best_sizes has no tracked diff: invalidate the hint.
     if (++s.backoffs > kMaxBetaBackoffs) return PassStatus::kDone;
     s.beta *= 0.5;
     s.sizes = s.best_sizes;
-    s.dphase_changed_valid = false;
     return PassStatus::kRepeat;
   }
   s.backoffs = 0;
   s.sizes = w.sizes;
-  // Accepted move: s.sizes now differs from the last D-phase-timed iterate
-  // by exactly the W-phase change set.
-  s.dphase_changed.insert(s.dphase_changed.end(), w.changed.begin(),
-                          w.changed.end());
   s.iterations.push_back(
       IterationLog{area, timing.critical_path, d.objective, s.beta});
   const double improvement = (s.best_area - area) / s.best_area;

@@ -54,14 +54,12 @@ struct PipelineState {
   int backoffs = 0;
   int stagnant = 0;
 
-  // Incremental-STA bookkeeping for the D-phase's internal timing scratch:
-  // a superset of the vertices whose size differs between `sizes` and the
-  // iterate that scratch last timed. Valid only along the straight accept
-  // path (cleared after every run_dphase, extended by the accepted W-phase
-  // move, invalidated when the trust region re-anchors at best_sizes); when
-  // invalid the D-phase falls back to its always-correct size scan.
-  std::vector<NodeId> dphase_changed;
-  bool dphase_changed_valid = false;
+  /// True when the context's timing scratch last timed exactly `sizes`:
+  /// set when a D/W iteration is accepted (its acceptance STA timed the
+  /// new iterate), cleared by DPhasePass::begin and by a β backoff. The
+  /// next D-phase then passes run_dphase an empty change hint instead of
+  /// scanning for the difference.
+  bool sizes_timed = false;
 
   /// W-phase Gauss–Seidel sweeps since the Pipeline last harvested the
   /// counter into the running entry's PassStats (pass implementations only

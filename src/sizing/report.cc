@@ -33,7 +33,7 @@ std::string timing_summary(const SizingNetwork& net,
   double worst_slack = std::numeric_limits<double>::infinity();
   for (NodeId v = 0; v < net.num_vertices(); ++v) {
     if (net.is_source(v)) continue;
-    const double sl = t.slack[static_cast<std::size_t>(v)];
+    const double sl = t.slack(v);
     worst_slack = std::min(worst_slack, sl);
     if (sl < 1e-9 * (1.0 + t.critical_path)) ++critical;
   }
@@ -82,7 +82,7 @@ std::string sizing_csv(const SizingNetwork& net,
     os << net.name(v) << ',' << kind_name(net.vertex(v).kind) << ','
        << strf("%.4f,%.4f,%.4f", sizes[static_cast<std::size_t>(v)],
                t.delay[static_cast<std::size_t>(v)],
-               t.slack[static_cast<std::size_t>(v)])
+               t.slack(v))
        << '\n';
   }
   return os.str();

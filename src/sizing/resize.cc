@@ -312,9 +312,10 @@ ResizeResult ResizeSession::resize(const ResizeDelta& delta) {
     res.error = "session has no sized state; call solve() or adopt() first";
     return res;
   }
-  if (delta.target_delay < 0.0) {
+  if (!std::isfinite(delta.target_delay) || delta.target_delay < 0.0) {
     res.ok = false;
-    res.error = "target delay must be positive (or 0 to keep the current)";
+    res.error =
+        "target delay must be finite and positive (or 0 to keep the current)";
     return res;
   }
   const double target =
@@ -338,6 +339,12 @@ ResizeResult ResizeSession::resize(const ResizeDelta& delta) {
                        e.vertex);
       return res;
     }
+    if (!std::isfinite(e.b_delta)) {
+      res.ok = false;
+      res.error = strf("load edit for vertex %d is not a finite number",
+                       e.vertex);
+      return res;
+    }
     pending_b[static_cast<std::size_t>(e.vertex)] += e.b_delta;
   }
   for (NodeId v = 0; v < n; ++v) {
@@ -345,7 +352,7 @@ ResizeResult ResizeSession::resize(const ResizeDelta& delta) {
     if (d == 0.0) continue;
     const SizingVertex& sv = net_.vertex(v);
     const double nb = sv.b + d;
-    if (nb < 0.0 || (nb == 0.0 && sv.loads.empty())) {
+    if (!std::isfinite(nb) || nb < 0.0 || (nb == 0.0 && sv.loads.empty())) {
       res.ok = false;
       res.error = strf(
           "load edit would leave vertex %d with degenerate load (b %.6g -> "
@@ -364,6 +371,12 @@ ResizeResult ResizeSession::resize(const ResizeDelta& delta) {
     if (net_.is_source(p.vertex)) {
       res.ok = false;
       res.error = strf("pin on source vertex %d (sources have no size)",
+                       p.vertex);
+      return res;
+    }
+    if (!std::isfinite(p.size)) {
+      res.ok = false;
+      res.error = strf("pin size for vertex %d is not a finite number",
                        p.vertex);
       return res;
     }

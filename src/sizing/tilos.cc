@@ -33,11 +33,10 @@ TilosResult run_tilos(const SizingNetwork& net, double target_delay,
                                      std::max(1, net.num_sizeable()));
 
   // All per-bump state is kept in sweep-position order so the candidate
-  // evaluation streams the plan's flat reverse-load CSR: sizes_pos mirrors
-  // res.sizes (one extra write per bump), on_path marks the positions of
-  // `path`, the current critical path.
-  std::vector<double> sizes_pos;
-  pl.gather(res.sizes, sizes_pos);
+  // evaluation streams the plan's flat reverse-load CSR: the STA scratch's
+  // sizes_pos holds res.sizes after every run (read-only here: it is the
+  // scratch's change detector), on_path marks the positions of `path`, the
+  // current critical path.
   std::vector<char> on_path(static_cast<std::size_t>(net.num_vertices()), 0);
   std::vector<NodeId> path;
   // The first STA is a full run_sta (arena-parallel when given one). After
@@ -49,6 +48,7 @@ TilosResult run_tilos(const SizingNetwork& net, double target_delay,
   sta.arena = arena;
   sta.fast_math = opt.fast_math;
   std::vector<NodeId> bumped;
+  const std::vector<double>& sizes_pos = sta.sizes_pos;
   while (true) {
     const TimingReport& timing =
         bumped.empty() ? run_sta(net, res.sizes, sta)
@@ -107,9 +107,6 @@ TilosResult run_tilos(const SizingNetwork& net, double target_delay,
     }
     if (best == kInvalidNode) break;  // nothing improves: infeasible target
     res.sizes[static_cast<std::size_t>(best)] *= opt.bumpsize;
-    sizes_pos[static_cast<std::size_t>(
-        pl.pos_of[static_cast<std::size_t>(best)])] =
-        res.sizes[static_cast<std::size_t>(best)];
     bumped.assign(1, best);
     ++res.bumps;
   }

@@ -167,10 +167,6 @@ WPhaseResult solve_wphase_impl(const SizingNetwork& net,
   }
 
   pl.scatter(sizes_pos, res.sizes);
-  for (NodeId v = 0; v < net.num_vertices(); ++v)
-    if (res.sizes[static_cast<std::size_t>(v)] !=
-        start[static_cast<std::size_t>(v)])
-      res.changed.push_back(v);
   return res;
 }
 

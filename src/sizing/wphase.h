@@ -46,10 +46,6 @@ class ThreadArena;
 
 struct WPhaseResult {
   std::vector<double> sizes;
-  /// Vertices whose final size differs from the start point (min_sizes for
-  /// the cold overload). Exactly the change set of this W-phase move —
-  /// callers feed it to run_sta's changed-hint overload.
-  std::vector<NodeId> changed;
   /// False if some budget is unachievable: d_i ≤ a_self_i (no size works)
   /// or the required size exceeds maxsize. Sizes are still returned,
   /// clamped, so the caller can inspect how close the solution came.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 
 namespace mft {
 
@@ -60,11 +61,14 @@ void SizingNetwork::eco_add_b(NodeId v, double delta) {
   MFT_CHECK_MSG(frozen(), "eco_add_b is a post-freeze edit");
   MFT_CHECK_MSG(!is_source(v), "sources carry no load");
   SizingVertex& sv = verts_[static_cast<std::size_t>(v)];
-  sv.b += delta;
-  MFT_CHECK_MSG(sv.b > 0.0 || !sv.loads.empty(),
+  // Check the new value before storing it: a refused edit leaves both
+  // representations untouched.
+  const double b = sv.b + delta;
+  MFT_CHECK_MSG(b > 0.0 || !sv.loads.empty(),
                 "ECO edit would leave vertex '" << name(v)
                                                << "' with degenerate delay");
-  MFT_CHECK(sv.b >= 0.0);
+  MFT_CHECK(std::isfinite(b) && b >= 0.0);
+  sv.b = b;
   // Keep the two frozen representations coherent: hot kernels read the
   // SweepPlan row, cold paths read the AoS record.
   plan_.b[static_cast<std::size_t>(plan_.pos_of[static_cast<std::size_t>(v)])] =

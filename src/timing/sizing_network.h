@@ -192,7 +192,9 @@ class SizingNetwork {
   /// re-lowering. Updates both the AoS record and the frozen SweepPlan row
   /// and mints a fresh serial, so every serial-keyed workspace treats the
   /// edited network as new and recomputes from scratch. Topology (arcs,
-  /// load sparsity, levels) is unchanged — only the coefficient moves.
+  /// load sparsity, levels) is unchanged — only the coefficient moves. A
+  /// new b that is negative, not finite, or zero on a vertex without load
+  /// terms fails with MFT_CHECK before anything is stored.
   void eco_add_b(NodeId v, double delta);
 
   /// Validates invariants (DAG, coefficient signs, sources have no loads),

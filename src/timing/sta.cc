@@ -203,7 +203,7 @@ void run_sweeps_parallel(const SweepPlan& pl,
 }
 
 // Translate the position-space working set into the id-indexed public
-// report: linear writes over the four report arrays, gathered reads from
+// report: linear writes over the three report arrays, gathered reads from
 // the position arrays.
 void export_report(const SweepPlan& pl, const std::vector<double>& delay_pos,
                    const std::vector<double>& at_pos,
@@ -212,13 +212,11 @@ void export_report(const SweepPlan& pl, const std::vector<double>& delay_pos,
   r.delay.resize(n);
   r.at.resize(n);
   r.rt.resize(n);
-  r.slack.resize(n);
   for (std::size_t v = 0; v < n; ++v) {
     const std::size_t p = static_cast<std::size_t>(pl.pos_of[v]);
     r.delay[v] = delay_pos[p];
     r.at[v] = at_pos[p];
     r.rt[v] = rt_pos[p];
-    r.slack[v] = rt_pos[p] - at_pos[p];
   }
 }
 
@@ -242,7 +240,6 @@ int update_delays(const SizingNetwork& net, const std::vector<double>& sizes,
     full_delay_pos(pl, scratch.sizes_pos, scratch.delay_pos, scratch.arena,
                    scratch.fast_math);
     scratch.is_dirty.assign(n, 0);
-    scratch.last_sizes = sizes;
     scratch.valid = true;
     scratch.net_serial = net.serial();
     scratch.last_fast_math = scratch.fast_math;
@@ -264,6 +261,13 @@ int update_delays(const SizingNetwork& net, const std::vector<double>& sizes,
         first = std::min(first, p);
       }
     };
+    // sizes_pos holds the sizes of the previous run: a vertex is resized
+    // when its new size differs from its entry there.
+    auto resized = [&](NodeId v) {
+      const std::size_t i = static_cast<std::size_t>(v);
+      return sizes[i] !=
+             scratch.sizes_pos[static_cast<std::size_t>(pl.pos_of[i])];
+    };
     auto mark_changed = [&](NodeId v) {
       const int p = pl.pos_of[static_cast<std::size_t>(v)];
       scratch.sizes_pos[static_cast<std::size_t>(p)] =
@@ -275,27 +279,19 @@ int update_delays(const SizingNetwork& net, const std::vector<double>& sizes,
     };
     if (changed != nullptr) {
       // Hinted path: trust the caller's change set, touch nothing else.
-      for (const NodeId v : *changed) {
-        const std::size_t i = static_cast<std::size_t>(v);
-        if (sizes[i] == scratch.last_sizes[i]) continue;
-        scratch.last_sizes[i] = sizes[i];
-        mark_changed(v);
-      }
+      for (const NodeId v : *changed)
+        if (resized(v)) mark_changed(v);
 #ifndef NDEBUG
       // A hint that misses a resized vertex silently corrupts every later
       // report; cross-check the whole contract in debug builds.
-      for (std::size_t i = 0; i < n; ++i)
-        MFT_CHECK_MSG(sizes[i] == scratch.last_sizes[i],
-                      "run_sta changed-hint missed resized vertex " << i);
+      for (NodeId v = 0; v < net.num_vertices(); ++v)
+        MFT_CHECK_MSG(!resized(v),
+                      "run_sta changed-hint missed resized vertex " << v);
 #endif
       ++scratch.hinted_runs;
     } else {
-      for (NodeId v = 0; v < net.num_vertices(); ++v) {
-        const std::size_t i = static_cast<std::size_t>(v);
-        if (sizes[i] == scratch.last_sizes[i]) continue;
-        mark_changed(v);
-      }
-      scratch.last_sizes = sizes;
+      for (NodeId v = 0; v < net.num_vertices(); ++v)
+        if (resized(v)) mark_changed(v);
     }
     auto recompute = [&](int, int begin, int end) {
       if (scratch.fast_math) {
@@ -394,13 +390,19 @@ const TimingReport& run_arrivals(const SizingNetwork& net,
   r.delay.resize(n);
   r.at.resize(n);
   r.rt.clear();
-  r.slack.clear();
   for (std::size_t p = static_cast<std::size_t>(start); p < n; ++p) {
     const std::size_t v = static_cast<std::size_t>(pl.vid[p]);
     r.delay[v] = scratch.delay_pos[p];
     r.at[v] = scratch.at_pos[p];
   }
   return r;
+}
+
+double TimingReport::slack(NodeId v) const {
+  MFT_CHECK_MSG(rt.size() == at.size(),
+                "slack needs required times; an arrival-only report has "
+                "none");
+  return rt[static_cast<std::size_t>(v)] - at[static_cast<std::size_t>(v)];
 }
 
 double TimingReport::edge_slack(const SizingNetwork& net, ArcId a) const {
@@ -458,10 +460,8 @@ std::vector<NodeId> TimingReport::critical_vertices(
 }
 
 bool TimingReport::safe(const SizingNetwork& net, double tol) const {
-  MFT_CHECK_MSG(slack.size() == at.size(),
-                "safe() needs slacks; an arrival-only report has none");
   for (NodeId v = 0; v < net.num_vertices(); ++v)
-    if (slack[static_cast<std::size_t>(v)] < -tol) return false;
+    if (slack(v) < -tol) return false;
   for (ArcId a = 0; a < net.dag().num_arcs(); ++a)
     if (edge_slack(net, a) < -tol) return false;
   return true;

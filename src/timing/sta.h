@@ -11,8 +11,8 @@
 //    O(n) scan against the remembered sizes.
 //  - run_sta(net, sizes, scratch, changed): same, but the caller names the
 //    resized vertices up front and the O(n) scan is skipped — the right
-//    form for callers that know their own update (the D-phase times the
-//    last accepted W-phase move).
+//    form for callers that know their own update (an empty hint for the
+//    D-phase after an acceptance STA timed its sizes on the same scratch).
 //    `changed` must be a superset of the truly-resized vertices (extra or
 //    duplicate entries cost nothing); an incomplete hint is corruption and
 //    is caught by a full cross-check in debug builds.
@@ -21,14 +21,14 @@
 //    hint contract and delay recompute as above, then the AT fold resumes
 //    at the first sweep position whose delay changed (earlier positions
 //    cannot move), keeping the CP endpoint as a prefix argmax. No RT sweep,
-//    no slack, and only that suffix is written back to the report.
+//    and only that suffix is written back to the report.
 // All paths produce bit-identical delays, ATs and critical paths; the
 // tier-1 suite asserts the equivalences on randomized size updates.
 //
 // An arrival-only report holds `delay`, `at`, `critical_path` and
-// `cp_vertex`, all current, and leaves `rt` and `slack` empty (never
-// stale): edge_slack() and safe() refuse it with MFT_CHECK, and the next
-// run_sta on the same scratch rebuilds all four arrays.
+// `cp_vertex`, all current, and leaves `rt` empty (never stale): slack(),
+// edge_slack() and safe() refuse it with MFT_CHECK, and the next run_sta on
+// the same scratch rebuilds all three arrays.
 //
 // Layout: the kernels never walk SizingVertex records. All hot state lives
 // in sweep-position order (SizingNetwork::plan()): the delay recompute and
@@ -68,11 +68,14 @@ struct TimingReport {
   std::vector<double> delay;   ///< per-vertex delay under the given sizes
   std::vector<double> at;      ///< arrival time at the vertex *input*
   std::vector<double> rt;      ///< required time
-  std::vector<double> slack;   ///< rt - at
   double critical_path = 0.0;  ///< CP(G) = max_v (at + delay)
   /// Endpoint realizing CP(G), tracked during the forward sweep (first
   /// vertex in topological order attaining the max — deterministic).
   NodeId cp_vertex = kInvalidNode;
+
+  /// Vertex slack RT(v) − AT(v). Needs RT: fails with MFT_CHECK on an
+  /// arrival-only report.
+  double slack(NodeId v) const;
 
   /// Edge slack esl(e_ij) = RT(j) − AT(i) − delay(i)  (eq. (8)). Needs RT:
   /// fails with MFT_CHECK on an arrival-only report.
@@ -92,10 +95,11 @@ struct TimingReport {
 /// many times on one network (W-phase/backoff loop, D-phase workspace).
 struct TimingScratch {
   TimingReport report;             ///< result storage, reused across calls
-  std::vector<double> last_sizes;  ///< sizes of the previous run (by id)
   /// Persistent sweep-position-order working set (see SizingNetwork::plan):
   /// the kernels read and write only these; `report` is exported from them
-  /// at the end of each run.
+  /// at the end of each run. `sizes_pos` is the only record of the sizes
+  /// last timed (the change scan and the hint checks compare against it):
+  /// callers may read it, never write it.
   std::vector<double> sizes_pos;
   std::vector<double> delay_pos;
   std::vector<double> at_pos;
@@ -164,7 +168,7 @@ const TimingReport& run_sta(const SizingNetwork& net,
 /// the changed vertices and their reverse loads, then re-folds AT from the
 /// first changed sweep position to the end. Returns scratch.report holding
 /// current `delay`, `at`, `critical_path` and `cp_vertex`, bit-identical to
-/// run_sta's, with `rt` and `slack` empty (see the header comment).
+/// run_sta's, with `rt` empty (see the header comment).
 const TimingReport& run_arrivals(const SizingNetwork& net,
                                  const std::vector<double>& sizes,
                                  TimingScratch& scratch,

@@ -15,9 +15,11 @@
 //    the same seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -213,9 +215,46 @@ TEST(SizingDaemon, MalformedAndUnknownRequestsGetStructuredErrors) {
                                 "adder",           "tiled1x1"};
   for (const char* name : bad_circuits)
     daemon.handle_line(submit_line(name, name, 0.8));
-  // Every bad line produced exactly one structured invalid_input result.
+  // Numbers: only JSON number syntax, finite; integer fields exact and in
+  // range (these once went through unchecked double casts: the priority
+  // ran at INT_MIN, the seed as 2^64-1, the resize and the cancel named
+  // session and ticket 0); ratio, target and deadline in their domains;
+  // inner_threads no wider than the host.
+  const std::string c17 = "{\"op\":\"submit\",\"circuit\":\"c17\",";
+  const std::string too_wide = std::to_string(
+      std::max(3000u, std::thread::hardware_concurrency() + 1));
+  const std::string bad_numbers[] = {
+      c17 + "\"ratio\":0.8,\"priority\":1e300}",
+      c17 + "\"ratio\":0.8,\"priority\":2147483648}",
+      c17 + "\"ratio\":0.8,\"seed\":-1}",
+      c17 + "\"ratio\":0.8,\"seed\":18446744073709551616}",
+      c17 + "\"ratio\":0.8,\"seed\":7.5}",
+      c17 + "\"ratio\":0.8,\"max_steps\":1e3}",
+      c17 + "\"ratio\":0.8,\"inner_threads\":" + too_wide + "}",
+      c17 + "\"ratio\":0.8,\"inner_threads\":-1}",
+      c17 + "\"ratio\":nan}",
+      c17 + "\"ratio\":inf}",
+      c17 + "\"ratio\":-inf}",
+      c17 + "\"ratio\":0x1p3}",
+      c17 + "\"ratio\":1e400}",
+      c17 + "\"ratio\":+0.8}",
+      c17 + "\"ratio\":.8}",
+      c17 + "\"ratio\":0}",
+      c17 + "\"ratio\":-0.5}",
+      c17 + "\"ratio\":0.8,\"target\":-1}",
+      c17 + "\"ratio\":0.8,\"deadline\":-1}",
+      "{\"op\":\"resize\",\"session\":1e30}",
+      "{\"op\":\"resize\",\"session\":0}",
+      "{\"op\":\"release\",\"session\":1.5}",
+      "{\"op\":\"cancel\",\"ticket\":1e30}",
+      "{\"op\":\"cancel\",\"ticket\":-1}",
+  };
+  for (const std::string& line : bad_numbers) daemon.handle_line(line);
+  const std::size_t bad = 12 + std::size(bad_numbers);
+  // Every bad line produced exactly one structured invalid_input result,
+  // and none was accepted.
   std::vector<std::string> lines = cap.snapshot();
-  ASSERT_EQ(lines.size(), 12u);
+  ASSERT_EQ(lines.size(), bad);
   for (const std::string& l : lines) {
     EXPECT_EQ(raw_field(l, "event"), "result") << l;
     EXPECT_EQ(raw_field(l, "status"), "invalid_input") << l;
@@ -229,7 +268,7 @@ TEST(SizingDaemon, MalformedAndUnknownRequestsGetStructuredErrors) {
   ASSERT_EQ(good.size(), 1u);
   EXPECT_EQ(raw_field(good[0], "status"), "ok");
   const DaemonStats s = daemon.stats();
-  EXPECT_EQ(s.invalid, 12u);
+  EXPECT_EQ(s.invalid, bad);
   EXPECT_EQ(s.admitted, 1u);
 }
 

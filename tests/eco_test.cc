@@ -4,7 +4,8 @@
 //  - Round trip: submit with "session":true → base result; a zero-delta
 //    resize is a fixpoint whose sizes_hash equals the base result's hash
 //    bit-for-bit; a load-edit resize re-solves and meets timing; release
-//    ends the session and later resizes are refused.
+//    ends the session and later resizes are refused; malformed delta
+//    strings are refused and leave the session as it was.
 //  - Ordering: a resize racing the still-queued base job is rejected
 //    ("not ready"), and succeeds once the base result lands.
 //  - Durability: a simulated crash (terminal resize results stripped from
@@ -13,6 +14,7 @@
 //    the chain silently (results already journaled, nothing re-emitted).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <mutex>
 #include <string>
@@ -127,9 +129,36 @@ TEST(EcoSession, RoundTripFixpointLoadEditAndRelease) {
   EXPECT_EQ(raw_field(fp, "dirty"), "0");
   EXPECT_EQ(raw_field(fp, "sizes_hash"), base_hash);
 
+  // Delta strings the parser once accepted: an id past NodeId's range that
+  // narrowed onto a real vertex (2^32 + v edited v), and non-finite loads
+  // (a NaN reached the network before a check refused it). Each is refused
+  // as invalid_input, and a zero delta after it still answers the base
+  // hash: the session is untouched.
+  const NodeId v = c17_gate_vertex();
+  const std::string bad_loads[] = {
+      std::to_string((std::int64_t{1} << 32) + v) + ":0.05",
+      std::to_string(v) + ":nan",
+      std::to_string(v) + ":inf",
+  };
+  int i = 0;
+  for (const std::string& bad : bad_loads) {
+    SCOPED_TRACE(bad);
+    const std::string bad_id = "bad" + std::to_string(i);
+    const std::string fp_id = "fp" + std::to_string(i++);
+    daemon.handle_line(
+        resize_line(bad_id, sid, ",\"loads\":\"" + bad + "\""));
+    daemon.handle_line(resize_line(fp_id, sid));
+    lines = cap.snapshot();
+    const std::string refused = line_for(lines, "result", bad_id);
+    ASSERT_FALSE(refused.empty());
+    EXPECT_EQ(raw_field(refused, "status"), "invalid_input") << refused;
+    const std::string again = line_for(lines, "result", fp_id);
+    ASSERT_FALSE(again.empty());
+    EXPECT_EQ(raw_field(again, "sizes_hash"), base_hash) << again;
+  }
+
   // A real delta: bump one gate's constant load, re-solve, meet timing.
-  const std::string loads =
-      ",\"loads\":\"" + std::to_string(c17_gate_vertex()) + ":0.05\"";
+  const std::string loads = ",\"loads\":\"" + std::to_string(v) + ":0.05\"";
   daemon.handle_line(resize_line("edit", sid, loads));
   lines = cap.snapshot();
   const std::string edit = line_for(lines, "result", "edit");

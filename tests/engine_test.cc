@@ -5,7 +5,8 @@
 //    verbatim copy of the legacy driver (legacy_minflotransit below),
 //    frozen at the PR that introduced the pipeline.
 //  - Context layer: per-job instrumentation resets at begin_job() while
-//    cached solver state (LP build, STA sizes) survives.
+//    cached solver state (LP build, STA sizes) survives; one timing
+//    scratch serves the whole job.
 //  - Engine layer: a multi-thread batch is bit-identical to the same batch
 //    run sequentially, results come back in job order, failures are
 //    per-job, and seeding is deterministic.
@@ -19,6 +20,7 @@
 #include "sizing/context.h"
 #include "sizing/pass.h"
 #include "timing/lowering.h"
+#include "util/parallel.h"
 #include "util/stopwatch.h"
 
 namespace mft {
@@ -290,6 +292,52 @@ TEST(Context, InstrumentationResetsPerJobWhileCachesSurvive) {
   EXPECT_GT(job2.sta_full_runs + job2.sta_incremental_runs, 0);
   // ...but the cached LP/flow build is NOT discarded: still one build.
   EXPECT_EQ(ctx.dphase().problem_builds(), 1);
+}
+
+TEST(Context, OneScratchTimesTheWholeJob) {
+  // The passes' acceptance STA and the D-phase's STA share the context's
+  // one scratch: only the job's first timing is a full run, and every
+  // D-phase after an accepted move re-times nothing.
+  LoweredCircuit lc = lower(make_ripple_adder(8));
+  SizingContext ctx(lc.net);
+  const MinflotransitResult r =
+      run_minflotransit(ctx, 0.5 * min_sized_delay(lc.net));
+  ASSERT_TRUE(r.met_target);
+  ASSERT_FALSE(r.iterations.empty());
+  const ContextStats st = ctx.stats();
+  EXPECT_EQ(st.sta_full_runs, 1);
+  EXPECT_GT(st.sta_hinted_runs, 0);
+}
+
+TEST(Context, DPhaseRebuildForANewSerialKeepsTheScratchWiring) {
+  // An ECO load edit mints a new serial; the D-phase rebuilds its LP and
+  // flow state for it but keeps the context's scratch, arena and delay
+  // mode included.
+  LoweredCircuit lc = lower(make_ripple_adder(8));
+  const double target = 0.6 * min_sized_delay(lc.net);
+  ThreadArena arena(2);
+  SizingContext ctx(lc.net);
+  ctx.set_arena(&arena);
+  ctx.set_fast_math(true);
+  run_minflotransit(ctx, target);
+  ASSERT_EQ(ctx.dphase().problem_builds(), 1);
+
+  NodeId v = 0;
+  while (lc.net.is_source(v)) ++v;
+  const std::uint64_t old_serial = lc.net.serial();
+  lc.net.eco_add_b(v, 0.05);
+  ASSERT_NE(lc.net.serial(), old_serial);
+  ctx.begin_job();
+  run_minflotransit(ctx, target);
+
+  EXPECT_EQ(ctx.dphase().net_serial, lc.net.serial());
+  EXPECT_EQ(ctx.dphase().problem_builds(), 1);  // a fresh flow workspace
+  const TimingScratch& t = ctx.dphase().timing;
+  EXPECT_EQ(&t, &ctx.timing());
+  EXPECT_EQ(t.arena, &arena);
+  EXPECT_TRUE(t.fast_math);
+  EXPECT_EQ(t.net_serial, lc.net.serial());
+  EXPECT_EQ(ctx.stats().sta_full_runs, 1);  // re-timed once for the edit
 }
 
 TEST(Context, PivotCountCoversEveryDPhaseSolveOfTheJob) {

@@ -315,6 +315,29 @@ TEST_F(JournalTest, ReplayAnswersARefusedCircuitNameWithInvalidInput) {
   EXPECT_EQ(json_field(log2.snapshot().at(0), "recovered"), "0");
 }
 
+// Integer fields replay from their token text, never through a double: a
+// seed above 2^53 comes back exactly (as a double it replayed as
+// 7960286522194355200, a different pseudo-random stream).
+TEST_F(JournalTest, ReplayedSubmitRunsUnderItsJournaledSeedExactly) {
+  const std::string path = temp_path("journal_seed.mftj");
+  Journal::rewrite(path, {"{\"type\":\"submit\",\"rid\":0,\"id\":\"a\","
+                          "\"circuit\":\"c17\",\"ratio\":0.8,"
+                          "\"seed\":7960286522194355700}"});
+  EventLog log;
+  {
+    SizingDaemon d(durable_opts(path), log.emit());
+    d.drain();
+    EXPECT_EQ(d.stats().recovered, 1u);
+  }
+  std::string result;
+  for (const std::string& l : log.snapshot())
+    if (json_field(l, "event") == "result" && json_field(l, "id") == "a")
+      result = l;
+  ASSERT_FALSE(result.empty());
+  EXPECT_EQ(json_field(result, "status"), "ok") << result;
+  EXPECT_EQ(json_field(result, "seed"), "7960286522194355700") << result;
+}
+
 TEST_F(JournalTest, AppendFaultRefusesTheSubmitButTheDaemonServes) {
   const std::string path = temp_path("journal_append_fault.mftj");
   EventLog log;

@@ -193,7 +193,6 @@ void expect_reports_identical(const TimingReport& a, const TimingReport& b) {
     EXPECT_EQ(a.delay[i], b.delay[i]) << "delay " << i;
     EXPECT_EQ(a.at[i], b.at[i]) << "at " << i;
     EXPECT_EQ(a.rt[i], b.rt[i]) << "rt " << i;
-    EXPECT_EQ(a.slack[i], b.slack[i]) << "slack " << i;
   }
   EXPECT_EQ(a.critical_path, b.critical_path);
   EXPECT_EQ(a.cp_vertex, b.cp_vertex);
@@ -331,7 +330,6 @@ TEST(ParallelSta, HintedIncrementalMatchesScanAndFullAcrossThreadCounts) {
           const TimingReport& a = run_arrivals(net, x, arrivals, changed);
           expect_arrivals_identical(net, full, a);
           EXPECT_TRUE(a.rt.empty());
-          EXPECT_TRUE(a.slack.empty());
         }
       }
       EXPECT_EQ(hinted.hinted_runs, 16);
@@ -406,7 +404,6 @@ TEST(ParallelWphase, BitIdenticalToSequentialAcrossThreadCounts) {
       ASSERT_EQ(seq.sizes.size(), par.sizes.size());
       for (std::size_t i = 0; i < seq.sizes.size(); ++i)
         EXPECT_EQ(seq.sizes[i], par.sizes[i]) << i;
-      EXPECT_EQ(seq.changed, par.changed);
 
       // Warm-started, parallel: same fixpoint as warm sequential, bit for
       // bit (same sweep arithmetic, level order == reverse topo order).
@@ -438,19 +435,11 @@ TEST(Wphase, WarmStartMatchesColdOnTriangularNetworks) {
   for (std::size_t i = 0; i < cold.sizes.size(); ++i)
     EXPECT_EQ(cold.sizes[i], warm.sizes[i]) << i;
 
-  // Warm-starting from the fixpoint itself converges in a single sweep.
+  // Warm-starting from the fixpoint itself converges in a single sweep and
+  // moves nothing.
   const WPhaseResult again = solve_wphase(net, budget, cold.sizes);
   EXPECT_EQ(again.sweeps, 1);
-  EXPECT_TRUE(again.changed.empty());
-
-  // The changed list is exactly the diff against the start point.
-  std::vector<NodeId> diff;
-  const auto start = net.min_sizes();
-  for (NodeId v = 0; v < net.num_vertices(); ++v)
-    if (cold.sizes[static_cast<std::size_t>(v)] !=
-        start[static_cast<std::size_t>(v)])
-      diff.push_back(v);
-  EXPECT_EQ(cold.changed, diff);
+  EXPECT_EQ(again.sizes, cold.sizes);
 }
 
 TEST(Wphase, WarmStartConvergesToTheSameFixpointOnCoupledNetworks) {

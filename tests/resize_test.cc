@@ -4,6 +4,7 @@
 // validation leaving a rejected session untouched.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "gen/blocks.h"
@@ -252,6 +253,36 @@ TEST(Resize, RejectedDeltasLeaveTheSessionUntouched) {
     const ResizeResult r = rs.resize(d);
     EXPECT_FALSE(r.ok);
   }
+  // Non-finite numbers: refused before any state is touched (a NaN load
+  // once reached the network's b before a check refused it).
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double b_before = rs.net().vertex(gate).b;
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    SCOPED_TRACE(bad);
+    ResizeDelta load;
+    load.load_edits.push_back({gate, bad});
+    const ResizeResult rl = rs.resize(load);
+    EXPECT_FALSE(rl.ok);
+    EXPECT_NE(rl.error.find("finite"), std::string::npos) << rl.error;
+    ResizeDelta target;
+    target.target_delay = bad;
+    EXPECT_FALSE(rs.resize(target).ok);
+  }
+  {
+    ResizeDelta d;  // NaN pin (once read as a release)
+    d.pins.push_back({gate, kNaN});
+    const ResizeResult r = rs.resize(d);
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("finite"), std::string::npos) << r.error;
+  }
+  {
+    ResizeDelta d;  // finite edits whose sum overflows
+    d.load_edits.push_back({gate, 1e308});
+    d.load_edits.push_back({gate, 1e308});
+    EXPECT_FALSE(rs.resize(d).ok);
+  }
+  EXPECT_EQ(rs.net().vertex(gate).b, b_before);
 
   // After every rejection the session is exactly where solve() left it.
   const ResizeResult fp = rs.resize(ResizeDelta{});

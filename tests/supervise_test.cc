@@ -5,7 +5,7 @@
 //    re-enqueued under the same ticket and seed, so a retried success is
 //    bit-identical to a fault-free run; exhaustion surfaces the last
 //    failure with the attempt count echoed; non-transient outcomes are
-//    never retried; the backoff schedule is a deterministic pure function.
+//    never retried.
 //  - Watchdog: a fault-driven true hang (stream.execute armed to spin) is
 //    detected on the fake clock, the token fired, escalation produces a
 //    structured kHung completion, the lost worker is replaced, and the
@@ -21,7 +21,7 @@
 #include "engine/stream.h"
 #include "gen/blocks.h"
 #include "timing/lowering.h"
-#include "util/backoff.h"
+#include "util/retry.h"
 #include "util/fault.h"
 
 namespace mft {
@@ -46,47 +46,6 @@ SizingJob c17_job(std::uint64_t seed) {
 JobResult reference_result(const LoweredCircuit& lc, const SizingJob& job) {
   StreamingRunner stream(JobRunnerOptions{});
   return stream.wait(stream.submit(lc.net, job));
-}
-
-// ---------------------------------------------------------------------------
-// Backoff schedule
-// ---------------------------------------------------------------------------
-
-TEST(RetryBackoff, ScheduleIsADeterministicPureFunction) {
-  RetryPolicy p;
-  p.max_attempts = 5;
-  p.backoff_base = 0.1;
-  p.jitter_from_seed = false;
-  // No jitter: exact exponential doubling, and nothing before attempt 2.
-  EXPECT_EQ(retry_backoff_seconds(p, 42, 1), 0.0);
-  EXPECT_EQ(retry_backoff_seconds(p, 42, 2), 0.1);
-  EXPECT_EQ(retry_backoff_seconds(p, 42, 3), 0.2);
-  EXPECT_EQ(retry_backoff_seconds(p, 42, 4), 0.4);
-
-  p.jitter_from_seed = true;
-  for (int attempt = 2; attempt <= 5; ++attempt) {
-    const double b = retry_backoff_seconds(p, 42, attempt);
-    const double nominal = 0.1 * static_cast<double>(1 << (attempt - 2));
-    EXPECT_GE(b, 0.5 * nominal);
-    EXPECT_LT(b, 1.5 * nominal);
-    // Same (policy, seed, attempt) => same backoff, bit-exact.
-    EXPECT_EQ(b, retry_backoff_seconds(p, 42, attempt));
-  }
-  // Distinct seeds decorrelate the jitter (not a hard law, but these two
-  // seeds do differ — pinned so a broken mix that collapses the jitter to
-  // a constant fails loudly).
-  EXPECT_NE(retry_backoff_seconds(p, 1, 2), retry_backoff_seconds(p, 2, 2));
-
-  // Disabled policy shapes.
-  RetryPolicy off;
-  EXPECT_EQ(retry_backoff_seconds(off, 7, 2), 0.0);
-  EXPECT_FALSE(retryable_status(EngineStatus::kCanceled));
-  EXPECT_FALSE(retryable_status(EngineStatus::kShed));
-  EXPECT_FALSE(retryable_status(EngineStatus::kDeadlineExpired));
-  EXPECT_FALSE(retryable_status(EngineStatus::kStepBudget));
-  EXPECT_FALSE(retryable_status(EngineStatus::kHung));
-  EXPECT_TRUE(retryable_status(EngineStatus::kWorkerDied));
-  EXPECT_TRUE(retryable_status(EngineStatus::kInternal));
 }
 
 // ---------------------------------------------------------------------------
@@ -158,17 +117,23 @@ TEST_F(SuperviseTest, RetryExhaustionSurfacesTheLastFailure) {
   JobRunnerOptions opt;
   opt.threads = 1;
   opt.retry.max_attempts = 3;
-  opt.retry.backoff_base = 1e-4;  // exercise the backoff sleep, invisibly
   StreamingRunner stream(opt);
   const JobResult r = stream.wait(stream.submit(lc.net, c17_job(7)));
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.status, EngineStatus::kInternal);
   EXPECT_EQ(r.attempts, 3);
-  EXPECT_GT(r.backoff_seconds, 0.0);
   EXPECT_EQ(stream.stats().retries, 2u);
 }
 
 TEST_F(SuperviseTest, NonTransientOutcomesAreNeverRetried) {
+  EXPECT_FALSE(retryable_status(EngineStatus::kCanceled));
+  EXPECT_FALSE(retryable_status(EngineStatus::kShed));
+  EXPECT_FALSE(retryable_status(EngineStatus::kDeadlineExpired));
+  EXPECT_FALSE(retryable_status(EngineStatus::kStepBudget));
+  EXPECT_FALSE(retryable_status(EngineStatus::kHung));
+  EXPECT_TRUE(retryable_status(EngineStatus::kWorkerDied));
+  EXPECT_TRUE(retryable_status(EngineStatus::kInternal));
+
   LoweredCircuit lc = lower(make_c17());
   JobRunnerOptions opt;
   opt.threads = 1;
