@@ -65,13 +65,6 @@ inline int bench_threads(int argc, char** argv) {
   return bench_int_flag(argc, argv, "--threads", "MFT_BENCH_THREADS", 0);
 }
 
-/// Inner-loop (level-parallel) thread count: `--inner-threads N`, else the
-/// MFT_BENCH_INNER_THREADS environment variable, else `fallback`.
-inline int bench_inner_threads(int argc, char** argv, int fallback = 0) {
-  return bench_int_flag(argc, argv, "--inner-threads",
-                        "MFT_BENCH_INNER_THREADS", fallback);
-}
-
 /// Wall times of repeated runs of one timed section. BENCH_*.json numbers
 /// derived from a single total are at the mercy of CI noise; `min` is the
 /// least-noise estimate of the true cost and `median` its robust central
@@ -196,7 +189,7 @@ struct CalibratedTarget {
 /// engine batch of TILOS-only probe jobs (max_iterations = 0) across all
 /// circuits, fanned over the runner's workers. Each circuit's bisection
 /// decisions depend only on its own probe outcomes, and TILOS probes are
-/// bit-identical at any worker/inner-thread count, so the calibrated delay
+/// bit-identical at any worker count, so the calibrated delay
 /// specs are identical to the sequential version at any thread count —
 /// while the longest sequential stretch of the Table-1 reproduction now
 /// parallelizes like the rest of the batch.

@@ -45,7 +45,6 @@ int main(int argc, char** argv) {
 
   JobRunnerOptions ropt;
   ropt.threads = bench_threads(argc, argv);
-  ropt.inner_threads = bench_inner_threads(argc, argv);
   ropt.progress = print_progress;
   const JobRunner runner(ropt);
   std::printf("running %d jobs on %d threads...\n",

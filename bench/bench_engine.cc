@@ -108,18 +108,10 @@ int main(int argc, char** argv) {
     std::printf("streaming (supervised), %d workers:\n", par_threads);
     Stopwatch sw;
     StreamingRunner stream(ropt);
-    // Same per-job inner widths as the batch arm (the whole list is known
-    // up front), so any wall-time difference is queue overhead, not a
-    // thread-allocation asymmetry.
-    const std::vector<int> inner = resolve_batch_inner_threads(
-        {&lc.net}, jobs, stream.threads(), ropt.inner_threads);
     std::vector<JobTicket> tickets;
     tickets.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      SizingJob job = jobs[i];
-      job.inner_threads = inner[i];
-      tickets.push_back(stream.submit(lc.net, std::move(job)));
-    }
+    for (const SizingJob& job : jobs)
+      tickets.push_back(stream.submit(lc.net, job));
     for (const JobTicket t : tickets) streamed.results.push_back(stream.wait(t));
     streamed.threads_used = stream.threads();
     streamed.wall_seconds = sw.seconds();

@@ -3,12 +3,9 @@
 // datapath 1–2 orders of magnitude beyond the Table-1 circuits.
 //
 // Arms, all at the same delay target and optimizer options:
-//  - monolithic:   one engine job on the full network, 1 inner thread —
-//                  the PR-2 baseline.
-//  - monolithic+N: same job with N inner threads (PR 3's level-parallel
-//                  sweeps) — the fairest same-core-budget baseline.
-//  - shard@W:      run_sharded_solve with W workers (K shards), 1 inner
-//                  thread per job, for W in {1, 2, 4, ...}.
+//  - monolithic: one engine job on the full network, on one worker.
+//  - shard@W:    run_sharded_solve with W workers (K shards), for W in
+//                {1, 2, 4, ...}.
 //
 // Interpretation: shard@1 vs monolithic isolates the *algorithmic* win
 // (per-sweep cost inside a shard is O(V/K), and each shard's flow
@@ -28,11 +25,7 @@
 //
 // Flags: --lanes/--stages/--bits (instance), --shards, --rounds,
 // --ratio-pct (target as % of Dmin), --max-iters (cap on D/W iterations
-// per (shard) solve, both arms), --workers (max worker count measured),
-// --inner-threads (inner threads of the monolithic+N arm; default
-// min(--workers, hardware concurrency) — never self-inflicted
-// oversubscription, matching the engine's thread policy; the arm is
-// skipped entirely when that resolves to 1).
+// per (shard) solve, both arms), --workers (max worker count measured).
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -59,9 +52,6 @@ int main(int argc, char** argv) {
   const int max_workers =
       std::max(1, bench_int_flag(argc, argv, "--workers", nullptr, 4));
   const unsigned hw = std::thread::hardware_concurrency();
-  int mono_inner = bench_inner_threads(argc, argv, /*fallback=*/0);
-  if (mono_inner <= 0)
-    mono_inner = std::min(max_workers, hw > 0 ? static_cast<int>(hw) : 1);
 
   const Netlist nl = make_tiled_datapath(p);
   const LoweredCircuit lc = lower_gate_level(nl, Tech{});
@@ -81,30 +71,21 @@ int main(int argc, char** argv) {
 
   BenchJson json;
 
-  // --- Monolithic arms -----------------------------------------------------
+  // --- Monolithic arm ------------------------------------------------------
   // Timed with the same outer stopwatch scope as the sharded arms (around
   // the whole runner.run call, including the engine's per-network prep),
   // so the recorded speedups compare like with like.
-  double mono_seconds = 0.0;
-  auto run_monolithic = [&](int inner) {
-    SizingJob job;
-    job.target_delay = target;
-    job.options = mopt;
-    job.inner_threads = inner;
-    job.label = strf("monolithic+%d", inner);
-    JobRunnerOptions ropt;
-    ropt.threads = 1;
-    const JobRunner runner(ropt);
-    Stopwatch sw;
-    BatchResult batch = runner.run({&net}, {job});
-    mono_seconds = sw.seconds();
-    return batch;
-  };
-
-  std::printf("running monolithic (1 inner thread)...\n");
+  SizingJob mono_job;
+  mono_job.target_delay = target;
+  mono_job.options = mopt;
+  mono_job.label = "monolithic";
+  JobRunnerOptions mono_opt;
+  mono_opt.threads = 1;
+  std::printf("running monolithic...\n");
   std::fflush(stdout);
-  const BatchResult mono1 = run_monolithic(1);
-  const double mono1_seconds = mono_seconds;
+  Stopwatch mono_sw;
+  const BatchResult mono1 = JobRunner(mono_opt).run({&net}, {mono_job});
+  const double mono1_seconds = mono_sw.seconds();
   const JobResult& mono = mono1.results.front();
   if (!mono.ok) {
     std::fprintf(stderr, "error: monolithic solve failed: %s\n",
@@ -115,29 +96,6 @@ int main(int argc, char** argv) {
               mono.result.met_target ? 1 : 0, mono.result.area,
               mono.result.delay);
   std::fflush(stdout);
-
-  double mono_inner_seconds = 0.0;
-  if (mono_inner > 1) {
-    std::printf("running monolithic (%d inner threads)...\n", mono_inner);
-    std::fflush(stdout);
-    const BatchResult monoN = run_monolithic(mono_inner);
-    const JobResult& rN = monoN.results.front();
-    if (!rN.ok) {
-      std::fprintf(stderr, "error: monolithic+%d solve failed: %s\n",
-                   mono_inner, rN.error.c_str());
-      return 1;
-    }
-    mono_inner_seconds = mono_seconds;
-    if (rN.result.sizes != mono.result.sizes) {
-      std::fprintf(stderr,
-                   "FAIL: monolithic+%d result differs from 1 inner thread "
-                   "(bit-identity contract broken)\n",
-                   mono_inner);
-      return 1;
-    }
-    std::printf("  %.2fs (bit-identical to 1 inner thread: checked)\n",
-                mono_inner_seconds);
-  }
 
   // --- Sharded arms --------------------------------------------------------
   std::vector<int> worker_counts;
@@ -153,7 +111,6 @@ int main(int argc, char** argv) {
     sopt.max_rounds = rounds;
     sopt.options = mopt;
     sopt.runner.threads = w;
-    sopt.runner.inner_threads = 1;
     std::printf("running sharded K=%d at %d worker%s...\n", shards, w,
                 w == 1 ? "" : "s");
     std::fflush(stdout);
@@ -196,11 +153,8 @@ int main(int argc, char** argv) {
            {{"area", mono.result.area},
             {"met_target", mono.result.met_target ? 1.0 : 0.0},
             {"critical_path", mono.result.delay},
-            {"iterations", static_cast<double>(mono.result.iterations.size())},
-            {"inner_threads", 1.0}});
-  if (mono_inner > 1)
-    json.add("shard/monolithic_inner", mono_inner_seconds,
-             {{"inner_threads", static_cast<double>(mono_inner)}});
+            {"iterations",
+             static_cast<double>(mono.result.iterations.size())}});
   for (std::size_t i = 0; i < worker_counts.size(); ++i)
     json.add(strf("shard/sharded_w%d", worker_counts[i]), shard_seconds[i],
              {{"workers", static_cast<double>(worker_counts[i])},

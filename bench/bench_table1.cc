@@ -46,7 +46,6 @@ int main(int argc, char** argv) {
 
   JobRunnerOptions calopt;
   calopt.threads = bench_threads(argc, argv);
-  calopt.inner_threads = bench_inner_threads(argc, argv);
   std::printf("calibrating %d circuits through the engine...\n",
               static_cast<int>(networks.size()));
   const std::vector<CalibratedTarget> cals =
@@ -63,7 +62,6 @@ int main(int argc, char** argv) {
 
   JobRunnerOptions ropt;
   ropt.threads = bench_threads(argc, argv);
-  ropt.inner_threads = bench_inner_threads(argc, argv);
   ropt.progress = print_progress;
   const JobRunner runner(ropt);
   std::printf("running %d circuits on %d threads...\n",

@@ -6,7 +6,7 @@
 #   BUILD_DIR  where the bench binaries live      (default: build)
 #   OUT_DIR    where the JSON records are copied  (default: bench/results)
 #
-# Environment knobs pass through (MFT_BENCH_THREADS, MFT_BENCH_INNER_THREADS,
+# Environment knobs pass through (MFT_BENCH_THREADS,
 # MFT_SHARD_LANES/STAGES/BITS, ...). Heavy benches honor their own flags;
 # set MFT_RUN_ALL_ARGS_<bench> (e.g. MFT_RUN_ALL_ARGS_bench_shard="--lanes 16
 # --stages 8") to scale one down. A missing binary is an error (build with

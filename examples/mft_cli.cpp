@@ -26,9 +26,6 @@
 //   --ratios R1,R2,...    sweep targets as fractions of Dmin
 //                         (default 1.0,0.9,0.8,0.7,0.6,0.5,0.4)
 //   --threads N           engine worker threads (default: hardware)
-//   --inner-threads N     level-parallel STA/W-phase threads per job
-//                         (default 0: leftover --threads capacity goes to
-//                         the widest jobs; results identical at any value)
 //   --context-cache N     per-worker context-pool LRU bound (0 = keep one
 //                         context per network ever touched); eviction
 //                         never changes results
@@ -92,7 +89,6 @@ struct Args {
   double beta = 0.25;
   double bumpsize = 1.1;
   int threads = 0;        // 0 = hardware concurrency
-  int inner_threads = 0;  // 0 = runner policy (leftover cores)
   int shards = 0;         // 0 = monolithic solve
   int context_cache = 0;  // 0 = unbounded context pools
   double deadline = 0.0;  // 0 = no deadline
@@ -100,7 +96,6 @@ struct Args {
   bool wires = false;
   bool tilos_only = false;
   bool histogram = false;
-  bool fast_math = false;
 };
 
 /// One line per accepted flag — printed whenever parsing fails, so an
@@ -121,7 +116,6 @@ const char* option_listing() {
       "  --sweep               run the full area-delay trade-off curve\n"
       "  --ratios R1,R2,...    sweep targets as fractions of Dmin\n"
       "  --threads N           engine worker threads (default: hardware)\n"
-      "  --inner-threads N     level-parallel STA/W-phase threads per job\n"
       "  --context-cache N     per-worker context-pool LRU bound\n"
       "  --shards K            sharded solve with K level bands\n"
       "  --deadline S          per-job (or per-solve, with --shards) "
@@ -136,13 +130,6 @@ const char* option_listing() {
       "                        (directives: target R | load V DB | pin V S "
       "|\n"
       "                        apply; '#' comments)\n"
-      "  --fast-math           FP-reassociated delay folds: faster, "
-      "reproducible\n"
-      "                        for a fixed binary but NOT bit-identical to "
-      "the\n"
-      "                        default exact mode (incompatible with "
-      "--shards,\n"
-      "                        whose reconciliation is bit-identity-gated)\n"
       "  --json PATH           write machine-readable results as JSON\n"
       "  --csv PATH            write the per-element sizing CSV (single "
       "run)\n"
@@ -226,21 +213,18 @@ Args parse(int argc, char** argv) {
           real(i, f, [](double v) { return v > 1.0 && std::isfinite(v); });
     else if (f == "--sweep") a.sweep = true;
     else if (f == "--ratios") a.sweep_ratios = parse_ratio_list(value(i));
-    else if (f == "--threads" || f == "--inner-threads" || f == "--shards" ||
-             f == "--context-cache") {
+    else if (f == "--threads" || f == "--shards" || f == "--context-cache") {
       const char* s = value(i);
       char* end = nullptr;
       const long v = std::strtol(s, &end, 10);
       if (end == s || *end != '\0' || v < 0)
         usage(("bad " + f + " value '" + std::string(s) + "'").c_str());
-      (f == "--threads"         ? a.threads
-       : f == "--inner-threads" ? a.inner_threads
-       : f == "--shards"        ? a.shards
-                                : a.context_cache) = static_cast<int>(v);
+      (f == "--threads"  ? a.threads
+       : f == "--shards" ? a.shards
+                         : a.context_cache) = static_cast<int>(v);
     }
     else if (f == "--deadline")
       a.deadline = real(i, f, [](double v) { return v >= 0.0; });
-    else if (f == "--fast-math") a.fast_math = true;
     else if (f == "--list-circuits") {
       std::printf("built-in circuits (--circuit NAME):\n%s",
                   circuit_listing().c_str());
@@ -258,11 +242,6 @@ Args parse(int argc, char** argv) {
     usage("--wires needs --granularity gate");
   if (a.shards > 0 && a.sweep)
     usage("--shards is a single-target mode; drop --sweep");
-  if (a.fast_math && a.shards > 0)
-    usage(
-        "--fast-math cannot be combined with --shards: shard "
-        "reconciliation depends on bit-identical re-evaluation of boundary "
-        "timing, which FP-reassociated folds do not guarantee");
   if (!a.eco_path.empty() && (a.sweep || a.shards > 0))
     usage("--eco is a single warm-session mode; drop --sweep / --shards");
   return a;
@@ -303,9 +282,7 @@ Netlist build_circuit(const Args& a) {
 JobRunnerOptions make_runner_options(const Args& args) {
   JobRunnerOptions ropt;
   ropt.threads = args.threads;
-  ropt.inner_threads = args.inner_threads;
   ropt.context_cache_limit = args.context_cache;
-  ropt.fast_math = args.fast_math;
   return ropt;
 }
 
@@ -379,10 +356,10 @@ int run_single(const Args& args, const LoweredCircuit& lc, double dmin) {
   std::printf("%s\n%s", compare_report(lc.net, r.result).c_str(),
               timing_summary(lc.net, r.result.sizes).c_str());
   std::printf(
-      "\nengine     : %d thread%s (%d inner); job wall time %.2fs "
+      "\nengine     : %d thread%s; job wall time %.2fs "
       "(TILOS %.2fs, %d D/W iterations, %lld simplex pivots)\n",
-      batch.threads_used, batch.threads_used == 1 ? "" : "s", r.inner_threads,
-      r.wall_seconds, r.result.tilos_seconds,
+      batch.threads_used, batch.threads_used == 1 ? "" : "s", r.wall_seconds,
+      r.result.tilos_seconds,
       static_cast<int>(r.result.iterations.size()),
       static_cast<long long>(r.stats.ns_pivots));
   return write_solution_outputs(args, lc, r.result.sizes) ? 0 : 1;

@@ -1,8 +1,8 @@
 // mftd — headless sizing daemon over JSON-lines.
 //
 // Usage:
-//   mftd [--threads N] [--inner-threads N] [--context-cache N]
-//        [--max-queue N] [--pressure X] [--no-shed] [--socket PATH]
+//   mftd [--threads N] [--context-cache N] [--max-queue N]
+//        [--pressure X] [--no-shed] [--socket PATH]
 //        [--journal PATH] [--journal-compact-bytes N]
 //
 // Default transport is stdin/stdout: one request object per input line,
@@ -83,7 +83,6 @@ void install_signal_handlers() {}
       code == 0 ? stdout : stderr,
       "usage: mftd [options]\n"
       "  --threads N        engine worker threads (0 = hardware)\n"
-      "  --inner-threads N  default inner-loop threads per job\n"
       "  --context-cache N  per-worker context LRU bound (0 = unbounded)\n"
       "  --max-queue N      reject submits at queue depth N (0 = unbounded)\n"
       "  --pressure X       reject deadlined submits whose predicted wait\n"
@@ -120,8 +119,6 @@ Flags parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--threads") f.daemon.engine.threads = int_value(i);
-    else if (flag == "--inner-threads")
-      f.daemon.engine.inner_threads = int_value(i);
     else if (flag == "--context-cache")
       f.daemon.engine.context_cache_limit = int_value(i);
     else if (flag == "--max-queue")

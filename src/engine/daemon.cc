@@ -339,8 +339,6 @@ SizingJob job_from_obj(const JsonObj& obj, const std::string& circuit) {
   job.priority = get_integer<int>(obj, "priority", 0);
   job.deadline_seconds = get_number(obj, "deadline", 0.0);
   job.max_steps = get_integer<std::int64_t>(obj, "max_steps", 0);
-  job.inner_threads =
-      get_integer<int>(obj, "inner_threads", 0, 0, resolve_pool_threads(0));
   job.seed = get_integer<std::uint64_t>(obj, "seed", 0);
   if (!(job.target_ratio > 0.0))
     throw EngineError(EngineStatus::kInvalidInput,
@@ -413,7 +411,6 @@ std::string submit_record(std::uint64_t rid, const std::string& id,
       .integer("priority", job.priority)
       .num("deadline", job.deadline_seconds)
       .integer("max_steps", job.max_steps)
-      .integer("inner_threads", job.inner_threads)
       .uinteger("seed", job.seed)
       .done();
 }
@@ -938,6 +935,15 @@ void SizingDaemon::do_release(const std::string& id, std::uint64_t sid) {
                       strf("unknown session %llu",
                            static_cast<unsigned long long>(sid)));
   EcoSession& es = *it->second;
+  // A successful base journals no result record, so releasing before it
+  // lands would leave replay nothing to answer the base with: refuse, like
+  // resize, and journal nothing.
+  if (!es.ready && !es.failed)
+    throw EngineError(
+        EngineStatus::kRejected,
+        strf("session %llu not ready: base job still running, retry after "
+             "its result",
+             static_cast<unsigned long long>(sid)));
   if (journal_.is_open() && es.durable) {
     // The release record makes the drop durable before the session's live
     // records leave the compaction set: replay either sees the release
@@ -962,7 +968,7 @@ void SizingDaemon::do_release(const std::string& id, std::uint64_t sid) {
 
 std::string SizingDaemon::config_record() const {
   // Everything a bit-reproducible replay depends on. threads is advisory
-  // (inner parallelism never changes results) and deliberately absent.
+  // (worker count never changes results) and deliberately absent.
   // base_seed rides as a string: the flat parser reads numbers as
   // doubles, which cannot hold all 64 seed bits.
   return JsonLine()
@@ -970,7 +976,6 @@ std::string SizingDaemon::config_record() const {
       .integer("version", 1)
       .str("base_seed", strf("%llu", static_cast<unsigned long long>(
                                          opt_.engine.base_seed)))
-      .boolean("fast_math", opt_.engine.fast_math)
       .done();
 }
 
@@ -1118,7 +1123,9 @@ void SizingDaemon::recover_from_journal() {
   // would *run* — and silently produce different sizes than the journal's
   // clients were promised. Refuse recovery, preserve the file untouched
   // as operator evidence (rotation stays off so it cannot erode), and
-  // serve on fresh.
+  // serve on fresh. Older builds wrote "fast_math" into the snapshot; the
+  // engine only has exact folds now, so a journal that says true was
+  // solved under a contract this build cannot reproduce.
   if (has_config) {
     int ver = 1;  // absent: the first format
     if (config.count("version") != 0 && !find_integer(config, "version", ver))
@@ -1126,8 +1133,7 @@ void SizingDaemon::recover_from_journal() {
     const std::uint64_t seed = std::strtoull(
         get_string(config, "base_seed", "0").c_str(), nullptr, 10);
     const bool fm = get_flag(config, "fast_math");
-    if (ver != 1 || seed != opt_.engine.base_seed ||
-        fm != opt_.engine.fast_math) {
+    if (ver != 1 || seed != opt_.engine.base_seed || fm) {
       std::lock_guard<std::mutex> lock(mu_);
       ++journal_errors_;
       compaction_disabled_ = true;
@@ -1141,13 +1147,12 @@ void SizingDaemon::recover_from_journal() {
               .str("error",
                    strf("journal config incompatible: journal has version "
                         "%d base_seed %llu fast_math %s, engine has "
-                        "version 1 base_seed %llu fast_math %s; refusing "
-                        "to replay (journal preserved)",
+                        "version 1 base_seed %llu fast_math false; "
+                        "refusing to replay (journal preserved)",
                         ver, static_cast<unsigned long long>(seed),
                         fm ? "true" : "false",
                         static_cast<unsigned long long>(
-                            opt_.engine.base_seed),
-                        opt_.engine.fast_math ? "true" : "false"))
+                            opt_.engine.base_seed)))
               .uinteger("records", records.size())
               .uinteger("recovered", 0)
               .done());
@@ -1256,10 +1261,9 @@ void SizingDaemon::recover_from_journal() {
       if (sid != 0) out.uinteger("session", sid);
       emit_locked(out.uinteger("rid", rid).uinteger("ticket", t).done());
     } catch (const std::exception& e) {
-      // Journal from a build that accepted a circuit name or a field this
-      // one refuses (an inner_threads above this host's cores, say): give
-      // the request its terminal response and journal it as finished so it
-      // stops replaying.
+      // Journal from a build that accepted a circuit name or a field value
+      // this one refuses (a ratio of 0, say): give the request its terminal
+      // response and journal it as finished so it stops replaying.
       const auto* refused = dynamic_cast<const EngineError*>(&e);
       const EngineStatus status =
           refused != nullptr ? refused->status() : EngineStatus::kInternal;

@@ -6,7 +6,7 @@
 //
 // Protocol (requests; "circuit" takes the names of gen/circuit_name.h):
 //   {"op":"submit","circuit":"c17","ratio":0.8,"priority":2,
-//    "deadline":0.5,"max_steps":0,"inner_threads":0,"seed":0,
+//    "deadline":0.5,"max_steps":0,"seed":0,
 //    "label":"...","id":"client-tag",      // only op+circuit required
 //    "session":true}                       // keep the sized result live
 //   {"op":"cancel","ticket":3}
@@ -17,13 +17,14 @@
 //   {"op":"shutdown"}
 //
 // Numbers are JSON numbers only (no nan, inf, hex or leading '+') and
-// finite as a double. Integer fields — priority, max_steps, inner_threads,
-// seed, session, ticket — are parsed exactly from the token text, never
-// through a double, and must be integers within their type (session > 0,
-// ticket and inner_threads >= 0, inner_threads at most the host's cores).
+// finite as a double. Integer fields — priority, max_steps, seed, session,
+// ticket — are parsed exactly from the token text, never through a double,
+// and must be integers within their type (session > 0, ticket >= 0).
 // ratio must be > 0, target and deadline >= 0. In "loads"/"pins" a vertex
 // id must fit NodeId whole and a value must be finite. Any violation is
-// an "invalid_input" result with no "accepted" ack.
+// an "invalid_input" result with no "accepted" ack. Keys the protocol
+// does not name are ignored, per-job thread counts from older clients
+// included.
 //
 // Responses (events; "id" echoes the request's id when given):
 //   {"event":"accepted","id":...,"ticket":3}           // submit admitted
@@ -42,9 +43,10 @@
 // produced it. The flat protocol has no arrays, so deltas ride in
 // strings: "loads" / "pins" are comma-separated "vertex:value" lists
 // (a pin value of 0 releases the pin). The zero delta is a fixpoint:
-// its sizes_hash equals the previous answer's bit-for-bit. A resize
-// against a session whose base job is still running is refused with
-// kRejected (retry after the base result); "release" frees the session.
+// its sizes_hash equals the previous answer's bit-for-bit. A resize or a
+// release against a session whose base job is still running is refused
+// with kRejected and journals nothing (retry after the base result);
+// once the base has succeeded or failed, "release" frees the session.
 //
 // The response contract the daemon_test pins: every request line gets
 // exactly one terminal response — an admitted submit exactly one
@@ -91,9 +93,10 @@
 // result was emitted but not yet journaled is re-run and re-emitted.
 //
 // Every journal begins with a config snapshot record pinning the fields
-// replay determinism depends on (base_seed, fast_math); a daemon started
-// on a journal whose snapshot does not match its own configuration
-// refuses recovery — it emits {"event":"replay","ok":false,...},
+// replay determinism depends on (base_seed). A daemon started on a
+// journal whose snapshot does not match its own configuration, or says
+// "fast_math":true (a mode older builds offered and this one cannot
+// reproduce), refuses recovery: it emits {"event":"replay","ok":false,...},
 // preserves the file untouched for the operator, and serves on without
 // replaying anything. ECO sessions are durable too: the base submit and
 // every resize delta are journaled write-ahead, and recovery re-runs the

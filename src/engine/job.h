@@ -23,12 +23,6 @@ struct SizingJob {
   /// Index into the network table handed to JobRunner::run(). Unused by
   /// StreamingRunner::submit, which takes the network directly.
   int network = 0;
-  /// Inner-loop threads for this job's level-parallel STA and W-phase
-  /// sweeps. 1 = sequential inner loop; 0 = let the runner decide
-  /// (JobRunnerOptions::inner_threads, else the core-budget policy: batch
-  /// width is served first and leftover pool capacity goes to the jobs
-  /// with the largest networks). Results are bit-identical at any value.
-  int inner_threads = 0;
   /// Delay target as a fraction of the network's minimum-sized delay Dmin.
   double target_ratio = 0.6;
   /// Absolute delay target; when > 0 it overrides target_ratio (used by
@@ -100,13 +94,8 @@ struct JobResult {
   /// what a fault-free run would have produced.
   int attempts = 1;
   int thread = -1;             ///< worker that ran it (informational)
-  int inner_threads = 1;       ///< resolved inner-loop thread count
   int shard = -1;              ///< SizingJob::shard, echoed
   int shard_round = 0;         ///< SizingJob::shard_round, echoed
-  /// True when the job ran with FP-reassociated delay folds
-  /// (JobRunnerOptions::fast_math). Echoed into the batch JSON so emitted
-  /// numbers are never silently non-reproducible.
-  bool fast_math = false;
   ContextStats stats;          ///< per-job STA/flow instrumentation
   /// Per-pass instrumentation of the job's pipeline run (invocations, wall
   /// seconds, W-phase sweeps), in pipeline order.

@@ -9,55 +9,6 @@
 
 namespace mft {
 
-std::vector<int> resolve_batch_inner_threads(
-    const std::vector<const SizingNetwork*>& networks,
-    const std::vector<SizingJob>& jobs, int pool_threads,
-    int default_inner_threads) {
-  const int n = static_cast<int>(jobs.size());
-  int fallback = default_inner_threads;
-  if (fallback <= 0) fallback = env_inner_threads();
-  std::vector<int> inner(static_cast<std::size_t>(n),
-                         fallback > 0 ? fallback : 1);
-  // Explicit per-job requests always win, and are charged against the core
-  // budget before the policy splits what remains.
-  int budget = pool_threads;
-  std::vector<int> policy_jobs;
-  for (int i = 0; i < n; ++i) {
-    const int forced = jobs[static_cast<std::size_t>(i)].inner_threads;
-    if (forced > 0) {
-      inner[static_cast<std::size_t>(i)] = forced;
-      budget -= forced;
-    } else {
-      policy_jobs.push_back(i);
-    }
-  }
-  if (fallback <= 0 && !policy_jobs.empty()) {
-    // Core-budget policy: the remaining pool serves one core per job
-    // first; capacity beyond that is round-robined onto the widest jobs
-    // (largest networks level-parallelize best).
-    int leftover = budget - static_cast<int>(policy_jobs.size());
-    if (leftover > 0) {
-      std::stable_sort(policy_jobs.begin(), policy_jobs.end(),
-                       [&](int a, int b) {
-                         const int wa = networks[static_cast<std::size_t>(
-                                            jobs[static_cast<std::size_t>(a)]
-                                                .network)]
-                                            ->num_vertices();
-                         const int wb = networks[static_cast<std::size_t>(
-                                            jobs[static_cast<std::size_t>(b)]
-                                                .network)]
-                                            ->num_vertices();
-                         return wa > wb;
-                       });
-      const int k = static_cast<int>(policy_jobs.size());
-      for (int i = 0; leftover > 0; i = (i + 1) % k, --leftover)
-        ++inner[static_cast<std::size_t>(
-            policy_jobs[static_cast<std::size_t>(i)])];
-    }
-  }
-  return inner;
-}
-
 JobRunner::JobRunner(JobRunnerOptions opt)
     : opt_(std::move(opt)), info_cache_(opt_.context_cache_limit) {
   threads_ = resolve_pool_threads(opt_.threads);
@@ -96,9 +47,6 @@ BatchResult JobRunner::run(const std::vector<const SizingNetwork*>& networks,
   for (const SizingNetwork* net : networks)
     infos.push_back(info_cache_.get_or_compute(*net));
 
-  const std::vector<int> inner_threads = resolve_batch_inner_threads(
-      networks, jobs, threads_, opt_.inner_threads);
-
   JobRunnerOptions sopt = opt_;
   sopt.threads = batch.threads_used;
   StreamingRunner stream(sopt, &info_cache_);
@@ -119,7 +67,6 @@ BatchResult JobRunner::run(const std::vector<const SizingNetwork*>& networks,
   tickets.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     SizingJob job = jobs[static_cast<std::size_t>(i)];
-    job.inner_threads = inner_threads[static_cast<std::size_t>(i)];
     // Index-based seeding (not ticket-based): the batch contract is that
     // the same jobs yield the same seeds on every run() call of this or
     // any other runner.
@@ -178,9 +125,8 @@ bool write_batch_json(const std::string& path, const BatchResult& batch) {
           "     \"sta_full_runs\": %lld, \"sta_incremental_runs\": %lld, "
           "\"sta_hinted_runs\": %lld, \"sta_delays_recomputed\": %lld,\n"
           "     \"ns_pivots\": %lld,\n"
-          "     \"seed\": %llu, \"thread\": %d, \"inner_threads\": %d,\n"
-          "     \"shard\": %d, \"shard_round\": %d, \"fast_math\": %s, "
-          "\"attempts\": %d,\n"
+          "     \"seed\": %llu, \"thread\": %d, \"shard\": %d, "
+          "\"shard_round\": %d, \"attempts\": %d,\n"
           "     \"passes\": [",
           label.c_str(), to_string(r.status), r.degraded ? "true" : "false",
           r.result.met_target ? "true" : "false", r.dmin,
@@ -192,8 +138,8 @@ bool write_batch_json(const std::string& path, const BatchResult& batch) {
           static_cast<long long>(r.stats.sta_hinted_runs),
           static_cast<long long>(r.stats.sta_delays_recomputed),
           static_cast<long long>(r.stats.ns_pivots),
-          static_cast<unsigned long long>(r.seed), r.thread, r.inner_threads,
-          r.shard, r.shard_round, r.fast_math ? "true" : "false", r.attempts);
+          static_cast<unsigned long long>(r.seed), r.thread, r.shard,
+          r.shard_round, r.attempts);
       for (std::size_t p = 0; p < r.pass_stats.size(); ++p) {
         const PassStats& ps = r.pass_stats[p];
         std::string pass_name;

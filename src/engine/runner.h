@@ -22,9 +22,8 @@
 //    index — never from the runner's ticket counter, so repeat run()
 //    calls over the same jobs stay bit-identical too. A batch is
 //    bit-reproducible at any thread count.
-//  - Inner threads: the core-budget policy (see
-//    JobRunnerOptions::inner_threads) is resolved over the whole batch up
-//    front, then stamped per job.
+//  - Pool size: min(JobRunnerOptions::threads, batch size) workers, one
+//    job per worker at a time.
 //  - An optional progress callback fires after every job completion,
 //    serialized under a mutex.
 #pragma once
@@ -76,20 +75,6 @@ class JobRunner {
   int threads_ = 1;
   mutable NetInfoCache info_cache_;
 };
-
-/// The batch inner-thread core-budget policy (see JobRunnerOptions::
-/// inner_threads): resolved per-job widths for a whole batch — explicit
-/// per-job requests win and are charged against the pool first, the
-/// remaining jobs get one core each, leftover pool capacity is
-/// round-robined onto the jobs with the largest networks, and a
-/// default/MFT_INNER_THREADS fallback overrides the policy entirely.
-/// A pure function of the batch; exposed so streaming callers that do
-/// have the whole job list up front (bench_engine's streaming arm) can
-/// stamp the same widths the batch wrapper would.
-std::vector<int> resolve_batch_inner_threads(
-    const std::vector<const SizingNetwork*>& networks,
-    const std::vector<SizingJob>& jobs, int pool_threads,
-    int default_inner_threads);
 
 /// Writes a batch to `path` as a JSON object ({"threads", "wall_seconds",
 /// "jobs_per_second", "jobs": [...]}) for cross-PR perf diffing, in the

@@ -1,15 +1,12 @@
 #include "engine/stream.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <stdexcept>
 #include <utility>
 
 #include "sizing/pass.h"
 #include "sizing/tilos.h"
-#include "util/parallel.h"
 #include "util/stopwatch.h"
 
 namespace mft {
@@ -30,17 +27,6 @@ int resolve_pool_threads(int requested) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-int env_inner_threads() {
-  if (const char* env = std::getenv("MFT_INNER_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    MFT_CHECK_MSG(end != env && *end == '\0' && v >= 0,
-                  "bad MFT_INNER_THREADS value '" << env << "'");
-    if (v > 0) return static_cast<int>(v);
-  }
-  return 0;
-}
-
 namespace {
 
 /// One job, start to finish, on the worker's context. Any exception
@@ -48,8 +34,8 @@ namespace {
 /// out.error/out.status — a job never takes down the runner. The job's
 /// seed must already be resolved (submit/run do that deterministically).
 void execute_job(const SizingJob& job, JobTicket ticket, double dmin,
-                 double min_area, SizingContext& ctx, ThreadArena* arena,
-                 AbortToken* token, bool fast_math, JobResult& out) {
+                 double min_area, SizingContext& ctx, AbortToken* token,
+                 JobResult& out) {
   out.job = static_cast<int>(ticket);
   out.label = job.label;
   out.dmin = dmin;
@@ -58,19 +44,13 @@ void execute_job(const SizingJob& job, JobTicket ticket, double dmin,
       job.target_delay > 0.0 ? job.target_delay : job.target_ratio * dmin;
   out.seed = job.seed;
   out.priority = job.priority;
-  out.inner_threads = arena != nullptr ? arena->threads() : 1;
   out.shard = job.shard;
   out.shard_round = job.shard_round;
-  out.fast_math = fast_math;
   Stopwatch sw;
   try {
     MFT_FAULT_POINT("stream.execute");
     ctx.begin_job();
-    ctx.set_arena(arena);
     ctx.set_abort(token);
-    // Per-job, not sticky: a pooled context's previous job may have run in
-    // the other delay mode; the scratches force a full recompute on a flip.
-    ctx.set_fast_math(fast_math);
     // Thread the resolved per-job seed into the pipeline so a stochastic
     // pass (none in the default pipeline) is reproducible at any thread
     // count. Running the pipeline directly (instead of through the
@@ -154,8 +134,6 @@ StreamingRunner::StreamingRunner(JobRunnerOptions opt,
     now_ = [epoch] { return epoch->seconds(); };
   }
   threads_ = resolve_pool_threads(opt_.threads);
-  default_inner_ = opt_.inner_threads > 0 ? opt_.inner_threads
-                                          : std::max(1, env_inner_threads());
   {
     std::lock_guard<std::mutex> lock(workers_mu_);
     workers_.reserve(static_cast<std::size_t>(threads_));
@@ -449,19 +427,15 @@ bool StreamingRunner::maybe_retry(Item& item, const JobResult& out) {
 }
 
 void StreamingRunner::worker_main(int worker_id, WorkerSlot* slot) {
-  // One inner-loop arena per worker, rebuilt only when the assigned width
-  // changes; declared before the pool so it outlives the pooled contexts
-  // that point at it (locals destroy in reverse order).
-  std::unique_ptr<ThreadArena> arena;
   ContextPool pool(opt_.context_cache_limit);
   Item item;
   // A lost worker — its current job escalated to kHung and a replacement
   // spawned — exits as soon as whatever had it stuck returns.
   while (!slot->lost.load(std::memory_order_acquire) && queue_.pop(item)) {
     // Everything between pop and finish is fenced: an exception outside
-    // the job body (net-info STA, context acquisition, arena creation, an
-    // armed fault site) becomes a structured kWorkerDied result instead of
-    // killing the thread — poll()/wait() on the ticket always complete.
+    // the job body (net-info STA, context acquisition, an armed fault
+    // site) becomes a structured kWorkerDied result instead of killing the
+    // thread — poll()/wait() on the ticket always complete.
     try {
       MFT_FAULT_POINT("stream.worker");
       const double dispatched_at = now_();
@@ -516,14 +490,9 @@ void StreamingRunner::worker_main(int worker_id, WorkerSlot* slot) {
       slot->busy.store(item.ticket + 1, std::memory_order_release);
       const NetInfo info =
           item.has_info ? item.info : info_->get_or_compute(*item.net);
-      const int inner =
-          item.job.inner_threads > 0 ? item.job.inner_threads : default_inner_;
-      if (inner > 1 && (!arena || arena->threads() != inner))
-        arena = std::make_unique<ThreadArena>(inner);
       JobResult out;
       execute_job(item.job, item.ticket, info.dmin, info.min_area,
-                  pool.acquire(*item.net), inner > 1 ? arena.get() : nullptr,
-                  item.token.get(), opt_.fast_math, out);
+                  pool.acquire(*item.net), item.token.get(), out);
       slot->busy.store(0, std::memory_order_release);
       if (item.token != nullptr) item.token->attach_heartbeat(nullptr);
       out.thread = worker_id;

@@ -85,24 +85,12 @@
 
 namespace mft {
 
-class ThreadArena;
-
 struct JobRunnerOptions {
   /// Worker threads; 0 picks std::thread::hardware_concurrency() (min 1).
-  /// For the batch JobRunner the pool never exceeds the batch size; pool
-  /// capacity beyond the batch size is handed to the jobs' inner loops
-  /// (see inner_threads). A StreamingRunner spawns exactly this many.
+  /// For the batch JobRunner the pool never exceeds the batch size. A
+  /// StreamingRunner spawns exactly this many. Each job runs on one worker
+  /// thread.
   int threads = 0;
-  /// Default inner-loop (level-parallel STA / W-phase) threads for jobs
-  /// that leave SizingJob::inner_threads at 0: > 0 forces that count; 0
-  /// consults the MFT_INNER_THREADS environment variable (ops/CI knob).
-  /// The batch runner additionally applies its core-budget policy —
-  /// explicit per-job requests are charged against the pool first, the
-  /// remaining jobs get one core each, and whatever capacity is still
-  /// left is round-robined onto the jobs with the largest networks; a
-  /// streaming runner cannot see "the batch", so its fallback is 1.
-  /// Inner parallelism never changes results (bit-identical).
-  int inner_threads = 0;
   /// Per-worker context-pool and per-runner net-info cache bound: at most
   /// this many per-network SizingContexts are kept alive per worker (LRU
   /// eviction beyond it). 0 = unbounded — exactly the pre-eviction batch
@@ -110,13 +98,6 @@ struct JobRunnerOptions {
   /// whose rebuilt shard networks have fresh serials every round) should
   /// set a small bound.
   int context_cache_limit = 0;
-  /// Run every job with FP-reassociated delay folds
-  /// (SizingContext::set_fast_math). Off by default. Results are then
-  /// reproducible for a fixed binary but NOT bit-identical to the exact
-  /// mode, so this must never be combined with bit-identity-gated paths
-  /// (sharded solves, streaming-vs-batch equivalence checks); the CLI
-  /// rejects the combination. Echoed per job into JobResult::fast_math.
-  bool fast_math = false;
   /// Overload shedding: when true, a job popped off the queue after its
   /// wall-clock deadline already passed is failed immediately with
   /// EngineStatus::kShed ("load shed") instead of being run — the deadline
@@ -176,14 +157,6 @@ std::uint64_t derive_job_seed(std::uint64_t base, std::uint64_t index);
 
 /// Resolves a JobRunnerOptions::threads value to a concrete pool size.
 int resolve_pool_threads(int requested);
-
-/// The MFT_INNER_THREADS environment fallback (ops/CI knob), shared by the
-/// batch policy, the streaming default, and the shard round policy so the
-/// operator-facing validation rule cannot drift between paths: returns the
-/// parsed value, 0 when unset, and hard-errors on a malformed value
-/// (silently running at a thread count the operator didn't ask for would
-/// mislabel every emitted number).
-int env_inner_threads();
 
 // ---------------------------------------------------------------------------
 // SchedQueue
@@ -605,7 +578,6 @@ class StreamingRunner {
 
   JobRunnerOptions opt_;
   int threads_ = 1;
-  int default_inner_ = 1;  ///< resolved once: opt.inner_threads or env or 1
   std::function<double()> now_;  ///< runner clock: opt.clock or steady
   NetInfoCache own_info_;
   NetInfoCache* info_ = nullptr;

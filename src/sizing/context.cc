@@ -10,16 +10,6 @@ SizingContext::SizingContext(const SizingNetwork& net) : net_(&net) {
   reset_instrumentation();
 }
 
-void SizingContext::set_arena(ThreadArena* arena) {
-  arena_ = arena;
-  dphase_.timing.arena = arena;
-}
-
-void SizingContext::set_fast_math(bool on) {
-  fast_math_ = on;
-  dphase_.timing.fast_math = on;
-}
-
 void SizingContext::reset_instrumentation() {
   dphase_.timing.reset_instrumentation();
   dphase_.flow.mcf.reset_stats();

@@ -24,7 +24,6 @@
 namespace mft {
 
 class AbortToken;
-class ThreadArena;
 
 /// Per-context STA instrumentation of the context's one timing scratch.
 /// Counters start at zero at context creation and after every
@@ -67,14 +66,6 @@ class SizingContext {
     return run_sta(*net_, sizes, dphase_.timing);
   }
 
-  /// Inner-loop parallelism: wires `arena` (may be nullptr for sequential)
-  /// into the timing scratch and exposes it to the passes (TILOS STA,
-  /// W-phase sweeps). Not owned; the caller — the engine worker, normally
-  /// — keeps it alive while the context runs jobs.
-  /// Results are bit-identical with or without an arena.
-  void set_arena(ThreadArena* arena);
-  ThreadArena* arena() const { return arena_; }
-
   /// Cooperative abort/budget token for the job currently running on this
   /// context (nullptr when none). Not owned; the engine worker installs it
   /// at job start and clears it at job end. Passes check it at their
@@ -90,15 +81,6 @@ class SizingContext {
   /// the budgets are re-solved.
   void set_pins(const std::vector<double>* pins) { pins_ = pins; }
   const std::vector<double>* pins() const { return pins_; }
-
-  /// Opt-in FP-reassociated delay folds for every kernel run through this
-  /// context (TILOS STA, the context scratch, W-phase load folds). Off by
-  /// default; flipping it forces the scratch's next run to a full
-  /// recompute so exact and fast delays never mix in one report. Never
-  /// enabled on determinism-gated paths (shard bit-identity,
-  /// streaming-vs-batch equivalence).
-  void set_fast_math(bool on);
-  bool fast_math() const { return fast_math_; }
 
   /// Marks the start of a new job on a reused context: zeroes all
   /// instrumentation so per-job stats are not polluted by earlier jobs, and
@@ -121,10 +103,8 @@ class SizingContext {
 
  private:
   const SizingNetwork* net_;
-  ThreadArena* arena_ = nullptr;
   AbortToken* abort_ = nullptr;
   const std::vector<double>* pins_ = nullptr;
-  bool fast_math_ = false;
   DPhaseWorkspace dphase_;
 };
 

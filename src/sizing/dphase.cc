@@ -19,7 +19,7 @@ DPhaseResult run_dphase(const SizingNetwork& net,
   if (w.built && w.net_serial != net.serial()) {
     // A different network than the cached build: rebuild the LP (below)
     // and the flow state. The timing scratch stays: it belongs to the
-    // owning context (arena, delay mode) and re-times on a new serial.
+    // owning context and re-times on a new serial.
     w.flow = DualFlowLp::Workspace{};
     w.built = false;
   }

@@ -18,10 +18,8 @@ TilosPass::TilosPass(const TilosOptions& opt) : opt_(opt) {}
 PassStatus TilosPass::run(SizingContext& ctx, PipelineState& s) {
   Stopwatch sw;
   TilosOptions opt = opt_;
-  opt.fast_math = opt.fast_math || ctx.fast_math();
   if (opt.pins == nullptr) opt.pins = ctx.pins();
-  s.initial =
-      run_tilos(ctx.net(), s.target_delay, opt, ctx.arena(), ctx.abort());
+  s.initial = run_tilos(ctx.net(), s.target_delay, opt, nullptr, ctx.abort());
   s.tilos_seconds = sw.seconds();
   s.sizes = s.initial.sizes;
   s.best_sizes = s.initial.sizes;
@@ -44,9 +42,8 @@ PassStatus WPhasePass::run(SizingContext& ctx, PipelineState& s) {
   // current iterate — which already satisfies these budgets, so the sweeps
   // only have to settle the min-clamped vertices.
   const TimingReport& t0 = ctx.sta(s.sizes);
-  const WPhaseResult w0 = solve_wphase(net, t0.delay, s.sizes, ctx.arena(),
-                                       ctx.abort(), ctx.fast_math(),
-                                       ctx.pins());
+  const WPhaseResult w0 = solve_wphase(net, t0.delay, s.sizes, nullptr,
+                                       ctx.abort(), false, ctx.pins());
   s.wphase_sweeps += w0.sweeps;
   if (w0.feasible) {
     const double area0 = net.area(w0.sizes);
@@ -83,9 +80,8 @@ PassStatus DPhasePass::run(SizingContext& ctx, PipelineState& s) {
   const DPhaseResult d = run_dphase(net, s.sizes, dopt, &ctx.dphase(),
                                     s.sizes_timed ? &none_changed : nullptr);
   if (!d.solved) return PassStatus::kDone;
-  const WPhaseResult w = solve_wphase(net, d.budget, s.sizes, ctx.arena(),
-                                      ctx.abort(), ctx.fast_math(),
-                                      ctx.pins());
+  const WPhaseResult w = solve_wphase(net, d.budget, s.sizes, nullptr,
+                                      ctx.abort(), false, ctx.pins());
   s.wphase_sweeps += w.sweeps;
   const TimingReport& timing = ctx.sta(w.sizes);
   const double area = net.area(w.sizes);

@@ -43,31 +43,6 @@ void refine_area(SizingContext& ctx, const MinflotransitOptions& opt,
   sizes = st.best_sizes;
 }
 
-/// Per-band increments of the running-max arrival profile max(AT+delay)
-/// under `t` — the same span accounting the shard reconciliation uses
-/// (shard.cc keeps its copy file-local), with no floor: a band that adds
-/// no time depth contributes zero.
-std::vector<double> band_usage(const ShardPartition& part,
-                               const TimingReport& t) {
-  const int k = part.num_shards();
-  std::vector<double> endmax(static_cast<std::size_t>(k), 0.0);
-  for (NodeId v = 0; v < static_cast<NodeId>(part.shard_of.size()); ++v) {
-    const int sh = part.shard_of[static_cast<std::size_t>(v)];
-    endmax[static_cast<std::size_t>(sh)] =
-        std::max(endmax[static_cast<std::size_t>(sh)],
-                 t.at[static_cast<std::size_t>(v)] +
-                     t.delay[static_cast<std::size_t>(v)]);
-  }
-  std::vector<double> usage(static_cast<std::size_t>(k), 0.0);
-  double prev = 0.0, run_max = 0.0;
-  for (int sh = 0; sh < k; ++sh) {
-    run_max = std::max(run_max, endmax[static_cast<std::size_t>(sh)]);
-    usage[static_cast<std::size_t>(sh)] = std::max(run_max - prev, 0.0);
-    prev = run_max;
-  }
-  return usage;
-}
-
 /// Level-band partition {[0,lo), [lo,hi), [hi,L)} with degenerate bands
 /// collapsed; *mid_out is the index of the [lo,hi) band.
 ShardPartition make_band_partition(const SizingNetwork& net, int lo, int hi,
@@ -221,7 +196,7 @@ bool ResizeSession::warm_global(double target, ResizeResult& res) {
   std::vector<double> budget(n);
   for (std::size_t v = 0; v < n; ++v) budget[v] = t0.delay[v] * f;
   const WPhaseResult w =
-      solve_wphase(net_, budget, sizes_, ctx_.arena(), nullptr, false,
+      solve_wphase(net_, budget, sizes_, nullptr, nullptr, false,
                    has_pins() ? &pins_ : nullptr);
   if (!w.feasible) return false;
   std::vector<double> cand = w.sizes;
@@ -253,7 +228,8 @@ bool ResizeSession::warm_local(double target, int lo_level, int hi_level,
   // every unit of slack inside the band, so slack held against drift has
   // to live outside the span it is given.
   const TimingReport t = run_sta(net_, work);
-  const std::vector<double> usage = band_usage(part, t);
+  // No floor: a band that adds no time depth contributes zero.
+  const std::vector<double> usage = shard_usage(part, t, 0.0);
   double span =
       part.num_shards() > 1 ? target * (1.0 - kShardBoundaryMargin) : target;
   for (int s = 0; s < part.num_shards(); ++s)
@@ -285,13 +261,12 @@ bool ResizeSession::warm_local(double target, int lo_level, int hi_level,
     lbudget[static_cast<std::size_t>(l)] =
         lt.delay[static_cast<std::size_t>(l)] * lf;
   const WPhaseResult w =
-      solve_wphase(*sn.net, lbudget, lstart, ctx_.arena(), nullptr, false,
+      solve_wphase(*sn.net, lbudget, lstart, nullptr, nullptr, false,
                    any_pin ? &lpins : nullptr);
   if (!w.feasible) return false;
   std::vector<double> lsizes = w.sizes;
   {
     SizingContext lctx(*sn.net);
-    lctx.set_arena(ctx_.arena());
     if (any_pin) lctx.set_pins(&lpins);
     refine_area(lctx, opt_.cold, span, lsizes);
   }

@@ -51,10 +51,8 @@ std::vector<int> crossing_widths(const SizingNetwork& net) {
   return width;
 }
 
-/// Per-shard span usage under a timing report: the (floored) increments of
-/// the running-max arrival profile max(AT+delay) taken shard by shard.
-/// Used both for the initial budgets (begin) and for reconciliation
-/// re-budgeting, so the accounting cannot drift between the two.
+}  // namespace
+
 std::vector<double> shard_usage(const ShardPartition& part,
                                 const TimingReport& t, double floor) {
   const int k = part.num_shards();
@@ -75,8 +73,6 @@ std::vector<double> shard_usage(const ShardPartition& part,
   }
   return usage;
 }
-
-}  // namespace
 
 ShardPartition partition_levels(const SizingNetwork& net, int num_shards) {
   MFT_CHECK(net.frozen());
@@ -452,31 +448,6 @@ PassStatus ShardReconcilePass::run(SizingContext& ctx, PipelineState& s) {
   Stopwatch round_sw;
   const int round_total = shard_jobs_ + static_cast<int>(dirty.size());
 
-  // Inner-thread core budget for the round, mirroring the batch policy
-  // the wave path applied: a forced JobRunnerOptions::inner_threads or
-  // MFT_INNER_THREADS value is left to the streaming runner's own
-  // fallback; otherwise every dirty shard gets one core and leftover pool
-  // capacity is round-robined onto the largest bands (owned-vertex count
-  // — known before extraction, unlike the built networks). Pure function
-  // of the dirty set; inner width never changes results.
-  std::vector<int> inner(dirty.size(), 0);
-  if (opt_.runner.inner_threads == 0 && env_inner_threads() == 0) {
-    inner.assign(dirty.size(), 1);
-    std::vector<std::size_t> widest(dirty.size());
-    for (std::size_t i = 0; i < dirty.size(); ++i) widest[i] = i;
-    std::stable_sort(widest.begin(), widest.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return part_.vertices[static_cast<std::size_t>(
-                                                 dirty[a])].size() >
-                              part_.vertices[static_cast<std::size_t>(
-                                                 dirty[b])].size();
-                     });
-    int leftover = stream_->threads() - static_cast<int>(dirty.size());
-    for (std::size_t i = 0; leftover > 0;
-         i = (i + 1) % dirty.size(), --leftover)
-      ++inner[widest[i]];
-  }
-
   // Builds shard sh's job network at the current stitched sizes (the
   // original network for K == 1) and records the frozen boundary
   // snapshot. Throws when an armed "shard.extract" fault fires.
@@ -489,14 +460,13 @@ PassStatus ShardReconcilePass::run(SizingContext& ctx, PipelineState& s) {
       st.frozen.push_back(s.sizes[static_cast<std::size_t>(gv)]);
     return st.net.net.get();
   };
-  auto make_job = [&](int sh, int width, const char* suffix) {
+  auto make_job = [&](int sh) {
     SizingJob job;
-    job.inner_threads = width;
     const ShardState& st = shards_[static_cast<std::size_t>(sh)];
     job.target_delay =
         k > 1 ? st.span * (1.0 - kShardBoundaryMargin) : st.span;
     job.options = opt_.options;
-    job.label = strf("shard%d@r%d%s", sh, round_, suffix);
+    job.label = strf("shard%d@r%d", sh, round_);
     job.shard = sh;
     job.shard_round = round_;
     return job;
@@ -534,8 +504,8 @@ PassStatus ShardReconcilePass::run(SizingContext& ctx, PipelineState& s) {
         // not counted — round_total is the no-failure job count).
         opt_.runner.progress(r, ++progress_done_, round_total);
       };
-    tickets[i] = stream_->submit(*job_net, make_job(sh, inner[i], ""),
-                                 std::move(on_complete));
+    tickets[i] =
+        stream_->submit(*job_net, make_job(sh), std::move(on_complete));
     submitted[i] = 1;
   }
   shard_jobs_ = round_total;

@@ -39,10 +39,10 @@
 //     stitched into the global iterate while the round's stragglers are
 //     still running. The only barrier left per round is the re-budget
 //     step itself (the stitched full-network STA plus the span
-//     arithmetic, which need every shard of the round). Worker pool plus
-//     per-job inner_threads give two-level parallelism for free — and
-//     the per-sweep cost inside a shard is O(V/K) instead of O(V), which
-//     is a real algorithmic win even on one worker.
+//     arithmetic, which need every shard of the round). The worker pool
+//     solves shards in parallel, and the per-sweep cost inside a shard is
+//     O(V/K) instead of O(V), which is a real algorithmic win even on one
+//     worker.
 //
 //  4. ShardReconcilePass (an OptimizerPass over the *full-network*
 //     context) stitches the shard solutions, runs one full STA, and
@@ -58,10 +58,10 @@
 // Contract: run_sharded_solve with num_shards == 1 runs the monolithic
 // pipeline on the original network object — bit-identical to
 // run_minflotransit (asserted by tests/shard_test.cc). For K > 1 the
-// result is deterministic at any worker/inner-thread count, meets the
-// target whenever a round's stitch does, and trades a bounded area gap
-// (the frozen-boundary conservatism, measured by bench_shard) for the
-// parallel + incremental speedup.
+// result is deterministic at any worker count, meets the target whenever a
+// round's stitch does, and trades a bounded area gap (the frozen-boundary
+// conservatism, measured by bench_shard) for the parallel + incremental
+// speedup.
 #pragma once
 
 #include <memory>
@@ -95,9 +95,9 @@ struct ShardOptions {
   /// contract as SizingJob's knobs).
   double deadline_seconds = 0.0;
   std::int64_t max_steps = 0;
-  /// Worker pool for the streamed shard jobs (threads, inner_threads,
-  /// base_seed, progress — the progress hook fires per completed shard
-  /// job). Because every reconciliation round rebuilds its dirty shard
+  /// Worker pool for the streamed shard jobs (threads, base_seed,
+  /// progress — the progress hook fires per completed shard job).
+  /// Because every reconciliation round rebuilds its dirty shard
   /// networks with fresh serials, a context_cache_limit of 0 is promoted
   /// to num_shards for K > 1 (per-worker pools and the dmin cache would
   /// otherwise grow by one dead entry per shard job); an explicit limit
@@ -145,6 +145,14 @@ struct ShardNetwork {
 ShardNetwork build_shard_network(const SizingNetwork& net,
                                  const ShardPartition& part, int shard,
                                  const std::vector<double>& frozen_sizes);
+
+/// Per-shard span usage under a timing report: the increments of the
+/// running-max arrival profile max(AT+delay) taken shard by shard, each
+/// floored at `floor`. The reconciliation's initial budgets and re-budgets
+/// use it with a positive floor; ResizeSession's carved band uses it with
+/// floor 0.
+std::vector<double> shard_usage(const ShardPartition& part,
+                                const TimingReport& t, double floor);
 
 /// One reconciliation round, for diagnostics and BENCH_shard.json.
 struct ShardRound {
@@ -200,7 +208,7 @@ struct ShardSolveResult {
 /// the STA + re-budget barrier) and returns kRepeat until the boundary
 /// budgets converge. Writes the stitched iterate/best into PipelineState,
 /// so to_minflotransit_result applies unchanged. Deterministic at any
-/// worker/inner-thread count: submission order and ticket-ordered
+/// worker count: submission order and ticket-ordered
 /// consumption are pure functions of the dirty sets, never of arrival
 /// order.
 class ShardReconcilePass : public OptimizerPass {

@@ -12,7 +12,7 @@ double min_sized_delay(const SizingNetwork& net) {
 }
 
 TilosResult run_tilos(const SizingNetwork& net, double target_delay,
-                      const TilosOptions& opt, ThreadArena* arena,
+                      const TilosOptions& opt, ThreadArena*,
                       AbortToken* abort) {
   MFT_CHECK(opt.bumpsize > 1.0);
   const Tech& tech = net.tech();
@@ -39,14 +39,12 @@ TilosResult run_tilos(const SizingNetwork& net, double target_delay,
   // current critical path.
   std::vector<char> on_path(static_cast<std::size_t>(net.num_vertices()), 0);
   std::vector<NodeId> path;
-  // The first STA is a full run_sta (arena-parallel when given one). After
-  // that one vertex is bumped per iteration and TILOS reads only delays,
-  // ATs and the critical path, so each bump takes the arrival-only update:
-  // O(loaders of the bumped vertex) delay recompute, then one AT fold from
-  // the first re-delayed position to the end.
+  // The first STA is a full run_sta. After that one vertex is bumped per
+  // iteration and TILOS reads only delays, ATs and the critical path, so
+  // each bump takes the arrival-only update: O(loaders of the bumped
+  // vertex) delay recompute, then one AT fold from the first re-delayed
+  // position to the end.
   TimingScratch sta;
-  sta.arena = arena;
-  sta.fast_math = opt.fast_math;
   std::vector<NodeId> bumped;
   const std::vector<double>& sizes_pos = sta.sizes_pos;
   while (true) {

@@ -26,15 +26,6 @@
 // heap vectors. Because loads strictly cross levels, the reverse-position
 // walk reads exactly the values the historical reverse-topological walk
 // read — the result is bit-identical (tests/layout_test.cc pins it).
-//
-// Parallelism: with a multi-thread ThreadArena the sweep runs one
-// levelization level at a time (contiguous position ranges), concurrent
-// within a level. Same-level vertices share no load term, so the result is
-// bit-identical to sequential at any thread count (tests/parallel_test.cc).
-//
-// Fast math: the trailing fast_math flag switches the load fold to the
-// FP-reassociated two-accumulator form (SweepPlan::delay_at_fast's fold).
-// Off by default and never enabled on determinism-gated paths.
 #pragma once
 
 #include "timing/sizing_network.h"
@@ -42,7 +33,7 @@
 namespace mft {
 
 class AbortToken;
-class ThreadArena;
+class ThreadArena;  ///< never defined: names an ignored parameter below
 
 struct WPhaseResult {
   std::vector<double> sizes;
@@ -63,18 +54,18 @@ struct WPhaseResult {
 ///-area solution *conditioned on* the pins. ECO size pins ride on this.
 WPhaseResult solve_wphase(const SizingNetwork& net,
                           const std::vector<double>& delay_budget,
-                          ThreadArena* arena = nullptr,
                           AbortToken* abort = nullptr,
-                          bool fast_math = false,
                           const std::vector<double>* pins = nullptr);
 
-/// Warm start from `start` (one full per-vertex size vector, sources 0).
+/// Warm start from `start` (one full per-vertex size vector, sources 0);
+/// `abort` and `pins` as above. The ThreadArena* and bool parameters are
+/// ignored: they keep this overload's linker symbol, which the repo
+/// benchmark's tracer interposes, and callers pass nullptr and false.
 WPhaseResult solve_wphase(const SizingNetwork& net,
                           const std::vector<double>& delay_budget,
                           const std::vector<double>& start,
-                          ThreadArena* arena = nullptr,
-                          AbortToken* abort = nullptr,
-                          bool fast_math = false,
+                          ThreadArena* = nullptr, AbortToken* abort = nullptr,
+                          bool = false,
                           const std::vector<double>* pins = nullptr);
 
 }  // namespace mft

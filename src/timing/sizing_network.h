@@ -116,37 +116,6 @@ struct SweepPlan {
     return a_self[pi] + load / sizes_pos[pi];
   }
 
-  /// Fast-math variant: the load fold runs on two independent accumulators
-  /// (FP reassociation), which unlocks vectorized/pipelined reductions but
-  /// changes the last bits of the sum. Only reachable through the
-  /// explicitly gated fast-math mode — never in the default (deterministic)
-  /// configuration. Accuracy contract (layout_test enforces it): each
-  /// per-vertex delay agrees with delay_at to within 1e-12 relative (the
-  /// load terms are all positive, so the reassociated sum loses at most a
-  /// few ULP), and accumulated path quantities (AT/RT/CP) stay within
-  /// 1e-9 relative.
-  double delay_at_fast(int p, const std::vector<double>& sizes_pos) const {
-    const std::size_t pi = static_cast<std::size_t>(p);
-    if (source[pi]) return 0.0;
-    double acc0 = b[pi];
-    double acc1 = 0.0;
-    int k = load_off[pi];
-    const int end = load_off[pi + 1];
-    for (; k + 1 < end; k += 2) {
-      acc0 += load_coeff[static_cast<std::size_t>(k)] *
-              sizes_pos[static_cast<std::size_t>(
-                  load_pos[static_cast<std::size_t>(k)])];
-      acc1 += load_coeff[static_cast<std::size_t>(k + 1)] *
-              sizes_pos[static_cast<std::size_t>(
-                  load_pos[static_cast<std::size_t>(k + 1)])];
-    }
-    if (k < end)
-      acc0 += load_coeff[static_cast<std::size_t>(k)] *
-              sizes_pos[static_cast<std::size_t>(
-                  load_pos[static_cast<std::size_t>(k)])];
-    return a_self[pi] + (acc0 + acc1) / sizes_pos[pi];
-  }
-
   /// Gather an id-indexed per-vertex vector into sweep-position order.
   void gather(const std::vector<double>& by_id,
               std::vector<double>& by_pos) const {
@@ -246,15 +215,18 @@ class SizingNetwork {
   //
   // level_of()[v] is the longest-path depth of v in the union graph of the
   // timing arcs and the load terms, with every load term oriented to agree
-  // with the cached topological order. Consequences, which the parallel
-  // sweeps in sta.cc / wphase.cc rely on (asserted by tests/parallel_test):
+  // with the cached topological order. Consequences, which the level-ordered
+  // sweeps in sta.cc / wphase.cc / area_delay_weights rely on (asserted by
+  // tests/layout_test):
   //
-  //  - no two same-level vertices share an arc or a load term, so one level
-  //    can be updated by concurrent threads without a data race;
+  //  - no two same-level vertices share an arc or a load term;
   //  - for every load a_ij, x_j settles before (level ascending) exactly
   //    when topological position j < i — i.e. a sweep that walks levels in
   //    (reverse) order reads bit-for-bit the same neighbor values as the
-  //    sequential (reverse-)topological sweep.
+  //    (reverse-)topological sweep.
+  //
+  // Shard partitioning and ECO band carving cut the network at level
+  // boundaries.
 
   /// Number of levels (0 for an empty network).
   int num_levels() const {
@@ -281,7 +253,8 @@ class SizingNetwork {
     return level_offsets_;
   }
   /// topo_position()[v] = index of v in topological_order(); the tie-break
-  /// key that keeps parallel argmax reductions identical to sequential.
+  /// key that keeps the level-ordered CP argmax identical to the
+  /// topological one.
   const std::vector<int>& topo_position() const {
     MFT_CHECK(frozen());
     return topo_pos_;

@@ -4,44 +4,20 @@
 #include <climits>
 #include <limits>
 
-#include "util/parallel.h"
-
 namespace mft {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Minimum vertices per arena chunk. Below these the dispatch overhead beats
-// the work and parallel_for runs the body inline; tuning them only moves
-// where parallelism kicks in, never the results.
-constexpr int kDelayGrain = 96;  ///< delay recompute (load-term dot products)
-constexpr int kSweepGrain = 64;  ///< AT/RT level sweeps (arc min/max folds)
-
-bool multi_thread(const ThreadArena* arena) {
-  return arena != nullptr && arena->threads() > 1;
-}
 
 // Recomputes every per-vertex delay, streaming the plan's load CSR in
 // sweep-position order. Shared by the two-arg run_sta and the scratch
 // overload's first run so the full and incremental paths cannot drift
 // apart.
 void full_delay_pos(const SweepPlan& pl, const std::vector<double>& sizes_pos,
-                    std::vector<double>& delay_pos, ThreadArena* arena,
-                    bool fast) {
+                    std::vector<double>& delay_pos) {
   delay_pos.resize(static_cast<std::size_t>(pl.n));
-  auto body = [&](int, int begin, int end) {
-    if (fast) {
-      for (int p = begin; p < end; ++p)
-        delay_pos[static_cast<std::size_t>(p)] = pl.delay_at_fast(p, sizes_pos);
-    } else {
-      for (int p = begin; p < end; ++p)
-        delay_pos[static_cast<std::size_t>(p)] = pl.delay_at(p, sizes_pos);
-    }
-  };
-  if (multi_thread(arena))
-    arena->parallel_for(pl.n, kDelayGrain, body);
-  else
-    body(0, 0, pl.n);
+  for (int p = 0; p < pl.n; ++p)
+    delay_pos[static_cast<std::size_t>(p)] = pl.delay_at(p, sizes_pos);
 }
 
 // Forward sweep in sweep-position order (a valid topological order —
@@ -49,15 +25,15 @@ void full_delay_pos(const SweepPlan& pl, const std::vector<double>& sizes_pos,
 // AT(j) + delay(j), 0 at sources. cp_prefix[p] records the position of the
 // CP argmax over positions [0, p], so a later fold can resume at any
 // `start` whose earlier positions are settled (their delays unchanged since
-// the fold that wrote cp_prefix). Shared by every sequential path so the
-// full, incremental and arrival-only reports cannot drift apart.
+// the fold that wrote cp_prefix). Shared by every path so the full,
+// incremental and arrival-only reports cannot drift apart.
 //
 // Bit-identity to the historical id-space topological walk: every fanin
 // fold reads only strictly earlier levels (fully settled in either walk
 // order) and folds the vertex's own arc list in its original stored order;
 // the cp winner "first in topological order attaining the max" is
 // equivalently "max end, lowest topological position on exact ties", which
-// is the explicit rule used here and by the parallel merge. A resumed fold
+// is the explicit rule used here. A resumed fold
 // re-derives the prefix winner's end from the same operands, so it carries
 // on with exactly the value a fold from 0 would hold at `start`.
 void forward_fold(const SweepPlan& pl, const std::vector<double>& delay_pos,
@@ -102,12 +78,11 @@ void forward_fold(const SweepPlan& pl, const std::vector<double>& delay_pos,
 // Full forward/backward sweeps over already-computed per-vertex delays.
 // Shared by the full and incremental paths so both produce identical
 // reports; the backward fanout folds read only strictly later levels.
-void run_sweeps_sequential(const SweepPlan& pl,
-                           const std::vector<double>& delay_pos,
-                           std::vector<double>& at_pos,
-                           std::vector<double>& rt_pos,
-                           std::vector<int>& cp_prefix, double& critical_path,
-                           NodeId& cp_vertex) {
+void run_sweeps(const SweepPlan& pl,
+                const std::vector<double>& delay_pos,
+                std::vector<double>& at_pos, std::vector<double>& rt_pos,
+                std::vector<int>& cp_prefix, double& critical_path,
+                NodeId& cp_vertex) {
   const int n = pl.n;
   forward_fold(pl, delay_pos, 0, at_pos, cp_prefix, critical_path, cp_vertex);
   rt_pos.resize(static_cast<std::size_t>(n));
@@ -122,83 +97,6 @@ void run_sweeps_sequential(const SweepPlan& pl,
                              static_cast<std::size_t>(k)])] -
                             delay_pos[pi]);
     rt_pos[pi] = rt;
-  }
-}
-
-// Level-parallel sweeps: a level is a contiguous position range and within
-// a level no two vertices share an arc, so the per-vertex updates are the
-// sequential ones verbatim, run concurrently one level at a time. The cp
-// argmax is reduced per thread and merged by (max end, lowest topological
-// position on exact ties) — the same rule as the sequential sweep above.
-// No cp prefix is kept, so an arrival-only fold after this one starts at 0.
-void run_sweeps_parallel(const SweepPlan& pl,
-                         const std::vector<int>& level_off,
-                         const std::vector<double>& delay_pos,
-                         std::vector<double>& at_pos,
-                         std::vector<double>& rt_pos, double& critical_path,
-                         NodeId& cp_vertex, ThreadArena& arena) {
-  const int n = pl.n;
-  at_pos.resize(static_cast<std::size_t>(n));
-  rt_pos.resize(static_cast<std::size_t>(n));
-  const int levels = static_cast<int>(level_off.size()) - 1;
-
-  struct alignas(64) CpLocal {
-    double end = -kInf;
-    int pos = INT_MAX;
-    NodeId v = kInvalidNode;
-  };
-  std::vector<CpLocal> cp(static_cast<std::size_t>(arena.threads()));
-
-  for (int l = 0; l < levels; ++l) {
-    const int base = level_off[static_cast<std::size_t>(l)];
-    const int width = level_off[static_cast<std::size_t>(l) + 1] - base;
-    arena.parallel_for(width, kSweepGrain, [&](int thread, int begin, int end) {
-      CpLocal& local = cp[static_cast<std::size_t>(thread)];
-      for (int i = begin; i < end; ++i) {
-        const std::size_t pi = static_cast<std::size_t>(base + i);
-        double at = 0.0;
-        for (int k = pl.fanin_off[pi]; k < pl.fanin_off[pi + 1]; ++k) {
-          const std::size_t j = static_cast<std::size_t>(
-              pl.fanin_pos[static_cast<std::size_t>(k)]);
-          at = std::max(at, at_pos[j] + delay_pos[j]);
-        }
-        at_pos[pi] = at;
-        const double vend = at + delay_pos[pi];
-        const int vpos = pl.topo_pos[pi];
-        if (vend > local.end || (vend == local.end && vpos < local.pos)) {
-          local.end = vend;
-          local.pos = vpos;
-          local.v = pl.vid[pi];
-        }
-      }
-    });
-  }
-
-  CpLocal best;
-  for (const CpLocal& local : cp) {
-    if (local.v == kInvalidNode) continue;
-    if (best.v == kInvalidNode || local.end > best.end ||
-        (local.end == best.end && local.pos < best.pos))
-      best = local;
-  }
-  critical_path = best.v == kInvalidNode ? 0.0 : best.end;
-  cp_vertex = best.v;
-
-  for (int l = levels - 1; l >= 0; --l) {
-    const int base = level_off[static_cast<std::size_t>(l)];
-    const int width = level_off[static_cast<std::size_t>(l) + 1] - base;
-    arena.parallel_for(width, kSweepGrain, [&](int, int begin, int end) {
-      for (int i = begin; i < end; ++i) {
-        const std::size_t pi = static_cast<std::size_t>(base + i);
-        double rt = kInf;
-        if (pl.sink[pi]) rt = critical_path - delay_pos[pi];
-        for (int k = pl.fanout_off[pi]; k < pl.fanout_off[pi + 1]; ++k)
-          rt = std::min(rt, rt_pos[static_cast<std::size_t>(pl.fanout_pos[
-                                 static_cast<std::size_t>(k)])] -
-                                delay_pos[pi]);
-        rt_pos[pi] = rt;
-      }
-    });
   }
 }
 
@@ -232,17 +130,13 @@ int update_delays(const SizingNetwork& net, const std::vector<double>& sizes,
   const SweepPlan& pl = net.plan();
   int first = 0;
 
-  if (!scratch.valid || scratch.net_serial != net.serial() ||
-      scratch.fast_math != scratch.last_fast_math) {
-    // First run on this scratch (or a different network, or a delay-mode
-    // flip — exact and fast delays must never mix): full recompute.
+  if (!scratch.valid || scratch.net_serial != net.serial()) {
+    // First run on this scratch (or a different network): full recompute.
     pl.gather(sizes, scratch.sizes_pos);
-    full_delay_pos(pl, scratch.sizes_pos, scratch.delay_pos, scratch.arena,
-                   scratch.fast_math);
+    full_delay_pos(pl, scratch.sizes_pos, scratch.delay_pos);
     scratch.is_dirty.assign(n, 0);
     scratch.valid = true;
     scratch.net_serial = net.serial();
-    scratch.last_fast_math = scratch.fast_math;
     ++scratch.full_runs;
     scratch.delays_recomputed += static_cast<std::int64_t>(n);
   } else {
@@ -293,28 +187,11 @@ int update_delays(const SizingNetwork& net, const std::vector<double>& sizes,
       for (NodeId v = 0; v < net.num_vertices(); ++v)
         if (resized(v)) mark_changed(v);
     }
-    auto recompute = [&](int, int begin, int end) {
-      if (scratch.fast_math) {
-        for (int i = begin; i < end; ++i) {
-          const int p = dirty[static_cast<std::size_t>(i)];
-          scratch.delay_pos[static_cast<std::size_t>(p)] =
-              pl.delay_at_fast(p, scratch.sizes_pos);
-          scratch.is_dirty[static_cast<std::size_t>(p)] = 0;
-        }
-      } else {
-        for (int i = begin; i < end; ++i) {
-          const int p = dirty[static_cast<std::size_t>(i)];
-          scratch.delay_pos[static_cast<std::size_t>(p)] =
-              pl.delay_at(p, scratch.sizes_pos);
-          scratch.is_dirty[static_cast<std::size_t>(p)] = 0;
-        }
-      }
-    };
-    if (multi_thread(scratch.arena))
-      scratch.arena->parallel_for(static_cast<int>(dirty.size()), kDelayGrain,
-                                  recompute);
-    else
-      recompute(0, 0, static_cast<int>(dirty.size()));
+    for (const int p : dirty) {
+      scratch.delay_pos[static_cast<std::size_t>(p)] =
+          pl.delay_at(p, scratch.sizes_pos);
+      scratch.is_dirty[static_cast<std::size_t>(p)] = 0;
+    }
     ++scratch.incremental_runs;
     scratch.delays_recomputed += static_cast<std::int64_t>(dirty.size());
   }
@@ -322,8 +199,8 @@ int update_delays(const SizingNetwork& net, const std::vector<double>& sizes,
 }
 
 // Shared body of the scratch overloads of run_sta: delays, then full
-// sweeps and export. Only the sequential sweep leaves a cp prefix that a
-// later arrival-only fold can resume from.
+// sweeps (leaving the cp prefix a later arrival-only fold resumes from) and
+// export.
 const TimingReport& run_sta_incremental(const SizingNetwork& net,
                                         const std::vector<double>& sizes,
                                         TimingScratch& scratch,
@@ -331,15 +208,8 @@ const TimingReport& run_sta_incremental(const SizingNetwork& net,
   update_delays(net, sizes, scratch, changed);
   const SweepPlan& pl = net.plan();
   TimingReport& r = scratch.report;
-  scratch.cp_prefix_valid = !multi_thread(scratch.arena);
-  if (scratch.cp_prefix_valid)
-    run_sweeps_sequential(pl, scratch.delay_pos, scratch.at_pos,
-                          scratch.rt_pos, scratch.cp_prefix, r.critical_path,
-                          r.cp_vertex);
-  else
-    run_sweeps_parallel(pl, net.level_offsets(), scratch.delay_pos,
-                        scratch.at_pos, scratch.rt_pos, r.critical_path,
-                        r.cp_vertex, *scratch.arena);
+  run_sweeps(pl, scratch.delay_pos, scratch.at_pos, scratch.rt_pos,
+             scratch.cp_prefix, r.critical_path, r.cp_vertex);
   export_report(pl, scratch.delay_pos, scratch.at_pos, scratch.rt_pos, r);
   return r;
 }
@@ -353,9 +223,9 @@ TimingReport run_sta(const SizingNetwork& net, const std::vector<double>& sizes)
   std::vector<double> sizes_pos, delay_pos, at_pos, rt_pos;
   std::vector<int> cp_prefix;
   pl.gather(sizes, sizes_pos);
-  full_delay_pos(pl, sizes_pos, delay_pos, nullptr, /*fast=*/false);
-  run_sweeps_sequential(pl, delay_pos, at_pos, rt_pos, cp_prefix,
-                        r.critical_path, r.cp_vertex);
+  full_delay_pos(pl, sizes_pos, delay_pos);
+  run_sweeps(pl, delay_pos, at_pos, rt_pos, cp_prefix, r.critical_path,
+             r.cp_vertex);
   export_report(pl, delay_pos, at_pos, rt_pos, r);
   return r;
 }
@@ -377,13 +247,11 @@ const TimingReport& run_arrivals(const SizingNetwork& net,
                                  const std::vector<double>& sizes,
                                  TimingScratch& scratch,
                                  const std::vector<NodeId>& changed) {
-  const int dirty_from = update_delays(net, sizes, scratch, &changed);
-  const int start = scratch.cp_prefix_valid ? dirty_from : 0;
+  const int start = update_delays(net, sizes, scratch, &changed);
   const SweepPlan& pl = net.plan();
   TimingReport& r = scratch.report;
   forward_fold(pl, scratch.delay_pos, start, scratch.at_pos, scratch.cp_prefix,
                r.critical_path, r.cp_vertex);
-  scratch.cp_prefix_valid = true;
   // Export the re-folded suffix only: the report already holds every
   // earlier position's delay and AT, which this run cannot have moved.
   const std::size_t n = static_cast<std::size_t>(pl.n);

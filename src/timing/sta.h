@@ -36,23 +36,8 @@
 // and one final pass exports the id-indexed TimingReport (run_arrivals:
 // only the re-folded suffix). Values are
 // bit-identical to the historical id-order walks (term order per vertex is
-// preserved; max/min folds are exact under reordering).
-//
-// Parallelism: when scratch.arena points at a multi-thread ThreadArena,
-// the delay recompute runs partitioned over the dirty set and run_sta's
-// AT/RT sweeps run level-parallel over the same position arrays — still
-// bit-identical to the sequential sweeps (per-vertex arithmetic is
-// unchanged; the cp argmax is merged max-end-first, lowest-topological-
-// position-on-ties, exactly the sequential rule). The arrival-only fold is
-// always sequential; a level-parallel sweep keeps no cp prefix, so the
-// arrival run after one folds from position 0.
-//
-// Fast math: scratch.fast_math opts into FP-reassociated load folds
-// (SweepPlan::delay_at_fast) for the delay recompute. Off by default;
-// results then differ from the exact mode only by reassociation rounding
-// in each vertex's load sum (max/min sweep folds stay exact). Flipping the
-// flag forces a full recompute so exact and fast delays never mix in one
-// report. The plain run_sta(net, sizes) overload is always exact.
+// preserved; max/min folds are exact under reordering). Every kernel runs
+// sequentially on the calling thread; the engine parallelizes across jobs.
 #pragma once
 
 #include <cstdint>
@@ -61,8 +46,6 @@
 #include "timing/sizing_network.h"
 
 namespace mft {
-
-class ThreadArena;
 
 struct TimingReport {
   std::vector<double> delay;   ///< per-vertex delay under the given sizes
@@ -105,23 +88,12 @@ struct TimingScratch {
   std::vector<double> at_pos;
   std::vector<double> rt_pos;
   /// cp_prefix[p]: position of the CP argmax over positions [0, p], written
-  /// by every sequential forward fold; run_arrivals resumes from it.
+  /// by every forward fold; run_arrivals resumes from it.
   std::vector<int> cp_prefix;
-  /// False after a level-parallel sweep (which keeps no prefix).
-  bool cp_prefix_valid = false;
   std::vector<int> dirty;          ///< scratch: positions to re-delay
   std::vector<char> is_dirty;      ///< scratch: dedup mask for `dirty`
   bool valid = false;              ///< false until the first (full) run
   std::uint64_t net_serial = 0;    ///< SizingNetwork::serial() of the run
-  /// Inner-loop parallelism: when set (and multi-thread), the delay
-  /// recompute and the AT/RT sweeps run on the arena. Not owned; the owner
-  /// (engine worker, bench) must keep it alive across runs. Results are
-  /// bit-identical at any thread count.
-  ThreadArena* arena = nullptr;
-  /// Opt-in FP-reassociated delay folds (see the header comment). Owned by
-  /// SizingContext::set_fast_math in the engine; never set by default.
-  bool fast_math = false;
-  bool last_fast_math = false;     ///< mode the cached delays were built in
 
   // Instrumentation for tests and benches.
   std::int64_t full_runs = 0;
@@ -142,9 +114,8 @@ struct TimingScratch {
   }
 };
 
-/// Full forward/backward sweep. `sizes` indexed by vertex id. Always exact
-/// (no fast-math variant): this is the reference every other path is
-/// compared against.
+/// Full forward/backward sweep. `sizes` indexed by vertex id: the reference
+/// every other path is compared against.
 TimingReport run_sta(const SizingNetwork& net, const std::vector<double>& sizes);
 
 /// Incremental sweep: recomputes only the delays invalidated since the

@@ -218,11 +218,8 @@ TEST(SizingDaemon, MalformedAndUnknownRequestsGetStructuredErrors) {
   // Numbers: only JSON number syntax, finite; integer fields exact and in
   // range (these once went through unchecked double casts: the priority
   // ran at INT_MIN, the seed as 2^64-1, the resize and the cancel named
-  // session and ticket 0); ratio, target and deadline in their domains;
-  // inner_threads no wider than the host.
+  // session and ticket 0); ratio, target and deadline in their domains.
   const std::string c17 = "{\"op\":\"submit\",\"circuit\":\"c17\",";
-  const std::string too_wide = std::to_string(
-      std::max(3000u, std::thread::hardware_concurrency() + 1));
   const std::string bad_numbers[] = {
       c17 + "\"ratio\":0.8,\"priority\":1e300}",
       c17 + "\"ratio\":0.8,\"priority\":2147483648}",
@@ -230,8 +227,6 @@ TEST(SizingDaemon, MalformedAndUnknownRequestsGetStructuredErrors) {
       c17 + "\"ratio\":0.8,\"seed\":18446744073709551616}",
       c17 + "\"ratio\":0.8,\"seed\":7.5}",
       c17 + "\"ratio\":0.8,\"max_steps\":1e3}",
-      c17 + "\"ratio\":0.8,\"inner_threads\":" + too_wide + "}",
-      c17 + "\"ratio\":0.8,\"inner_threads\":-1}",
       c17 + "\"ratio\":nan}",
       c17 + "\"ratio\":inf}",
       c17 + "\"ratio\":-inf}",

@@ -6,8 +6,10 @@
 //    bit-for-bit; a load-edit resize re-solves and meets timing; release
 //    ends the session and later resizes are refused; malformed delta
 //    strings are refused and leave the session as it was.
-//  - Ordering: a resize racing the still-queued base job is rejected
-//    ("not ready"), and succeeds once the base result lands.
+//  - Ordering: a resize or a release racing the still-queued base job is
+//    rejected ("not ready") and journals nothing, so a crash at that point
+//    still replays and answers the base; both succeed once the base result
+//    lands.
 //  - Durability: a simulated crash (terminal resize results stripped from
 //    the journal) re-runs the base job and re-applies the resize chain on
 //    replay, reproducing bit-identical hashes; a second restart replays
@@ -190,6 +192,7 @@ TEST(EcoSession, ResizeBeforeTheBaseResultIsRejectedThenWorks) {
   Capture cap;
   DaemonOptions opt;
   opt.engine.threads = 1;
+  opt.journal_path = temp_path("eco_early.mftj");
   SizingDaemon daemon(opt, cap.emit());
 
   // A plain job occupies the single worker so the session base queues.
@@ -211,6 +214,27 @@ TEST(EcoSession, ResizeBeforeTheBaseResultIsRejectedThenWorks) {
   EXPECT_EQ(raw_field(early, "status"), "rejected");
   EXPECT_NE(early.find("not ready"), std::string::npos);
 
+  // So must a release: the base journals no result record when it
+  // succeeds, so a journaled release now would leave replay nothing to
+  // answer the base with. The session stays, and nothing is journaled.
+  daemon.handle_line("{\"op\":\"release\",\"id\":\"early_release\","
+                     "\"session\":" + sid + "}");
+  lines = cap.snapshot();
+  const std::string early_release = line_for(lines, "result", "early_release");
+  ASSERT_FALSE(early_release.empty());
+  EXPECT_EQ(raw_field(early_release, "status"), "rejected");
+  EXPECT_NE(early_release.find("not ready"), std::string::npos);
+  EXPECT_EQ(line_for(lines, "release", "early_release"), "");
+  EXPECT_EQ(daemon.stats().sessions, 1u);
+  // A crash right here: a daemon restarted on the journal as it stands
+  // re-runs the base and answers it.
+  const std::vector<std::string> at_crash = Journal::replay(opt.journal_path);
+  for (const std::string& rec : at_crash)
+    EXPECT_EQ(rec.find("\"type\":\"release\""), std::string::npos) << rec;
+  DaemonOptions restart = opt;
+  restart.journal_path = temp_path("eco_early_crash.mftj");
+  Journal::rewrite(restart.journal_path, at_crash);
+
   daemon.drain();
   daemon.handle_line(resize_line("after", sid));
   lines = cap.snapshot();
@@ -218,6 +242,23 @@ TEST(EcoSession, ResizeBeforeTheBaseResultIsRejectedThenWorks) {
   ASSERT_FALSE(after.empty());
   EXPECT_EQ(raw_field(after, "ok"), "true");
   EXPECT_EQ(raw_field(after, "mode"), "fixpoint");
+
+  // Once the base has answered, release works.
+  daemon.handle_line("{\"op\":\"release\",\"id\":\"late_release\","
+                     "\"session\":" + sid + "}");
+  lines = cap.snapshot();
+  const std::string late_release = line_for(lines, "release", "late_release");
+  ASSERT_FALSE(late_release.empty());
+  EXPECT_EQ(raw_field(late_release, "ok"), "true");
+  EXPECT_EQ(daemon.stats().sessions, 0u);
+
+  Capture replayed;
+  SizingDaemon revived(restart, replayed.emit());
+  revived.drain();
+  const std::string base_hash = hash_for(lines, "base");
+  ASSERT_FALSE(base_hash.empty());
+  EXPECT_EQ(hash_for(replayed.snapshot(), "base"), base_hash);
+  EXPECT_EQ(revived.stats().sessions, 1u);
 }
 
 TEST(EcoSession, ResizeChainSurvivesACrashWithBitIdenticalHashes) {

@@ -3,10 +3,10 @@
 // concurrency coverage: a Table-1-sized circuit at gate granularity plus
 // a transistor-granularity adder, batched at several thread counts, all
 // required to be bit-identical to the sequential run; and a mixed-workload
-// streaming soak (shard-extracted tiled networks with inner threads
-// interleaved with ISCAS jobs, submission order randomized by the
-// portable Rng) whose per-ticket results must be bit-identical at every
-// worker count and every submission order.
+// streaming soak (shard-extracted tiled networks interleaved with ISCAS
+// jobs, submission order randomized by the portable Rng) whose per-ticket
+// results must be bit-identical at every worker count and every
+// submission order.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -85,8 +85,8 @@ TEST(EngineStress, MixedGranularityBatchDeterministicAcrossThreadCounts) {
 }
 
 TEST(EngineStress, MixedWorkloadStreamingSoakIsDeterministicPerTicket) {
-  // The streaming runner's production shape: shard jobs (fresh networks
-  // with inner-thread parallelism, the reconciliation workload) arriving
+  // The streaming runner's production shape: shard jobs (fresh networks,
+  // the reconciliation workload) arriving
   // interleaved with ordinary circuit jobs, in an order the caller does
   // not control. Each logical job carries an explicit seed, so any
   // submission permutation of the same logical job must land on the
@@ -116,7 +116,6 @@ TEST(EngineStress, MixedWorkloadStreamingSoakIsDeterministicPerTicket) {
     job.network = i % 4;  // shard0, shard1, shard2, c432, shard0, ...
     job.target_ratio = 0.9 - 0.03 * (i / 4);
     job.options.max_iterations = 3;
-    if (job.network < 3) job.inner_threads = 2;  // shard jobs, inner-parallel
     job.label = "soak" + std::to_string(i);
     job.seed = 0x5eed0000u + static_cast<std::uint64_t>(i);  // order-independent
     logical.push_back(std::move(job));

@@ -12,7 +12,9 @@
 //    stripped from the journal) re-admits every unfinished request and
 //    reproduces bit-identical sizes_hash values under the journaled
 //    seeds; a journaled submit whose circuit name this build refuses
-//    replays as an invalid_input result; injected faults at
+//    replays as an invalid_input result, and one carrying a field only
+//    older builds knew replays as if it were absent; a config snapshot
+//    the engine cannot honor refuses replay; injected faults at
 //    journal.append / journal.replay degrade to structured error
 //    responses, never a dead daemon.
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include <fstream>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/daemon.h"
@@ -317,25 +320,37 @@ TEST_F(JournalTest, ReplayAnswersARefusedCircuitNameWithInvalidInput) {
 
 // Integer fields replay from their token text, never through a double: a
 // seed above 2^53 comes back exactly (as a double it replayed as
-// 7960286522194355200, a different pseudo-random stream).
+// 7960286522194355200, a different pseudo-random stream). The same record
+// as older builds wrote it, with a per-job inner-loop thread count this
+// build no longer has, replays to the same sizes: the key is ignored.
 TEST_F(JournalTest, ReplayedSubmitRunsUnderItsJournaledSeedExactly) {
   const std::string path = temp_path("journal_seed.mftj");
-  Journal::rewrite(path, {"{\"type\":\"submit\",\"rid\":0,\"id\":\"a\","
-                          "\"circuit\":\"c17\",\"ratio\":0.8,"
-                          "\"seed\":7960286522194355700}"});
-  EventLog log;
-  {
-    SizingDaemon d(durable_opts(path), log.emit());
-    d.drain();
-    EXPECT_EQ(d.stats().recovered, 1u);
+  const std::string records[] = {
+      "{\"type\":\"submit\",\"rid\":0,\"id\":\"a\",\"circuit\":\"c17\","
+      "\"ratio\":0.8,\"seed\":7960286522194355700}",
+      "{\"type\":\"submit\",\"rid\":0,\"id\":\"a\",\"circuit\":\"c17\","
+      "\"ratio\":0.8,\"inner_threads\":2,\"seed\":7960286522194355700}"};
+  std::vector<std::string> hashes;
+  for (const std::string& record : records) {
+    SCOPED_TRACE(record);
+    Journal::rewrite(path, {record});
+    EventLog log;
+    {
+      SizingDaemon d(durable_opts(path), log.emit());
+      d.drain();
+      EXPECT_EQ(d.stats().recovered, 1u);
+    }
+    std::string result;
+    for (const std::string& l : log.snapshot())
+      if (json_field(l, "event") == "result" && json_field(l, "id") == "a")
+        result = l;
+    ASSERT_FALSE(result.empty());
+    EXPECT_EQ(json_field(result, "status"), "ok") << result;
+    EXPECT_EQ(json_field(result, "seed"), "7960286522194355700") << result;
+    hashes.push_back(json_field(result, "sizes_hash"));
   }
-  std::string result;
-  for (const std::string& l : log.snapshot())
-    if (json_field(l, "event") == "result" && json_field(l, "id") == "a")
-      result = l;
-  ASSERT_FALSE(result.empty());
-  EXPECT_EQ(json_field(result, "status"), "ok") << result;
-  EXPECT_EQ(json_field(result, "seed"), "7960286522194355700") << result;
+  EXPECT_FALSE(hashes[0].empty());
+  EXPECT_EQ(hashes[1], hashes[0]);
 }
 
 TEST_F(JournalTest, AppendFaultRefusesTheSubmitButTheDaemonServes) {
@@ -442,35 +457,56 @@ TEST_F(JournalTest, IncompatibleConfigSnapshotRefusesReplayAndPreservesIt) {
   ASSERT_EQ(recs.size(), 2u);  // config + submit
   Journal::rewrite(path, recs);
 
-  // A daemon with a different base_seed could *run* the replay — and
-  // silently produce different sizes than the journal's clients were
-  // promised. It must refuse instead, and leave the file untouched.
-  DaemonOptions other = durable_opts(path);
-  other.engine.base_seed = 12345;
-  EventLog log;
-  SizingDaemon d(other, log.emit());
-  {
-    const std::vector<std::string> events = log.snapshot();
-    ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(json_field(events[0], "event"), "replay");
-    EXPECT_EQ(json_field(events[0], "ok"), "false");
-    EXPECT_NE(events[0].find("config incompatible"), std::string::npos);
-  }
-  EXPECT_EQ(d.stats().recovered, 0u);
-  EXPECT_EQ(Journal::replay(path).size(), 2u);  // preserved, not compacted
-  // The refusing daemon still serves (its new records append behind the
-  // preserved ones).
-  d.handle_line(kSubmitB);
-  d.drain();
-  EXPECT_NE(log.hash_for("b"), "");
+  ASSERT_EQ(json_field(recs[0], "type"), "config");
+  // The snapshot with the "fast_math" flag older builds wrote into it.
+  auto snapshot_saying = [&](const std::string& fast_math) {
+    std::vector<std::string> r = recs;
+    r[0].insert(r[0].size() - 1, ",\"fast_math\":" + fast_math);
+    return r;
+  };
 
-  // The *matching* engine can still recover the preserved request later.
-  EventLog log2;
-  SizingDaemon d2(durable_opts(path), log2.emit());
-  d2.drain();
-  EXPECT_EQ(json_field(log2.snapshot().at(0), "ok"), "true");
-  EXPECT_EQ(d2.stats().recovered, 1u);
-  EXPECT_NE(log2.hash_for("a"), "");
+  // A daemon could *run* these replays — and silently produce different
+  // sizes than the journal's clients were promised: a snapshot that says
+  // "fast_math":true (reassociated folds this build cannot reproduce), and
+  // one whose base_seed differs from the engine's. It must refuse instead,
+  // and leave the file untouched.
+  DaemonOptions other_seed = durable_opts(path);
+  other_seed.engine.base_seed = 12345;
+  const std::pair<std::vector<std::string>, DaemonOptions> refused[] = {
+      {snapshot_saying("true"), durable_opts(path)}, {recs, other_seed}};
+  for (const auto& [journal, opt] : refused) {
+    SCOPED_TRACE(journal[0]);
+    Journal::rewrite(path, journal);
+    EventLog log;
+    SizingDaemon d(opt, log.emit());
+    {
+      const std::vector<std::string> events = log.snapshot();
+      ASSERT_EQ(events.size(), 1u);
+      EXPECT_EQ(json_field(events[0], "event"), "replay");
+      EXPECT_EQ(json_field(events[0], "ok"), "false");
+      EXPECT_NE(events[0].find("config incompatible"), std::string::npos);
+    }
+    EXPECT_EQ(d.stats().recovered, 0u);
+    EXPECT_EQ(Journal::replay(path), journal);  // preserved, not compacted
+    // The refusing daemon still serves (its new records append behind the
+    // preserved ones).
+    d.handle_line(kSubmitB);
+    d.drain();
+    EXPECT_NE(log.hash_for("b"), "");
+  }
+
+  // The *matching* engine can still recover the preserved request later,
+  // and from the snapshot as every older journal wrote it.
+  for (int older = 0; older < 2; ++older) {
+    SCOPED_TRACE(older);
+    if (older) Journal::rewrite(path, snapshot_saying("false"));
+    EventLog log2;
+    SizingDaemon d2(durable_opts(path), log2.emit());
+    d2.drain();
+    EXPECT_EQ(json_field(log2.snapshot().at(0), "ok"), "true");
+    EXPECT_EQ(d2.stats().recovered, 1u);
+    EXPECT_NE(log2.hash_for("a"), "");
+  }
 }
 
 }  // namespace

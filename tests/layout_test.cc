@@ -7,15 +7,24 @@
 //    array-of-structs reference implementations EXACTLY (operator== on
 //    doubles) across all three lowerings on randomized size vectors — the
 //    layout refactor is a memory-order change, not a numerical one,
-//  - fast-math: the explicitly gated reassociated folds stay within the
-//    tolerance documented on SweepPlan::delay_at_fast (1e-12 relative per
-//    delay, 1e-9 on accumulated path quantities).
+//  - levelization: on every generated circuit (gate, gate+wires, and
+//    transistor lowering) no two same-level vertices share an arc or a
+//    load term, and every load term's orientation agrees with the
+//    topological order — what makes the level-ordered sweeps read the
+//    values the topological sweeps read,
+//  - warm starts: the warm-started W-phase matches cold on triangular
+//    networks and converges to the same fixpoint on coupled ones.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "gen/blocks.h"
+#include "gen/iscas_analog.h"
+#include "sizing/tilos.h"
 #include "sizing/wphase.h"
 #include "timing/lowering.h"
 #include "timing/sta.h"
@@ -286,57 +295,153 @@ TEST(SweepPlan, DelayHelpersMatchAos) {
   }
 }
 
-// Fast math is opt-in and NOT bit-identical — it must stay within the
-// tolerance documented on SweepPlan::delay_at_fast.
-TEST(FastMath, WithinDocumentedTolerance) {
-  constexpr double kDelayRelTol = 1e-12;
-  constexpr double kPathRelTol = 1e-9;
-  auto rel = [](double a, double b) {
-    const double mag = std::max(std::abs(a), std::abs(b));
-    if (!std::isfinite(mag) || mag == 0.0) return 0.0;  // inf RT == inf RT
-    return std::abs(a - b) / mag;
+// ---------------------------------------------------------------------------
+// Levelization
+// ---------------------------------------------------------------------------
+
+struct NamedNet {
+  std::string name;
+  LoweredCircuit lc;
+};
+
+std::vector<NamedNet> level_corpus() {
+  std::vector<NamedNet> nets;
+  auto gate = [&](const std::string& name, Netlist nl) {
+    nets.push_back({name, lower_gate_level(nl, Tech{})});
   };
-  for (int lowering = 0; lowering < 3; ++lowering) {
-    SCOPED_TRACE("lowering " + std::to_string(lowering));
-    const SizingNetwork net = make_net(lowering);
-    Rng rng(0xfa57ull + static_cast<std::uint64_t>(lowering));
-    const std::vector<double> x = random_sizes(net, rng);
-    const std::size_t n = static_cast<std::size_t>(net.num_vertices());
+  gate("c17", make_c17());
+  gate("adder16", make_ripple_adder(16));
+  gate("mux16", make_mux_tree(4));
+  gate("cmp8", make_comparator(8));
+  gate("alu8", make_alu(8));
+  gate("mult8", make_array_multiplier(8));
+  gate("parity8", tech_map_to_primitives(make_parity_sec(8)));
+  RandomLogicParams prm;
+  prm.num_inputs = 24;
+  prm.num_gates = 400;
+  prm.seed = 7;
+  gate("rnd400", make_random_logic(prm));
+  for (const IscasAnalogSpec& spec : iscas85_specs())
+    gate(spec.name, make_iscas_analog(spec.name));
+  GateLoweringOptions wires;
+  wires.size_wires = true;
+  nets.push_back(
+      {"adder8+wires", lower_gate_level(make_ripple_adder(8), Tech{}, wires)});
+  nets.push_back(
+      {"adder4-trans", lower_transistor_level(make_ripple_adder(4), Tech{})});
+  nets.push_back({"c17-trans", lower_transistor_level(make_c17(), Tech{})});
+  return nets;
+}
 
-    TimingScratch exact, fast;
-    fast.fast_math = true;
-    const TimingReport& re = run_sta(net, x, exact);
-    const TimingReport& rf = run_sta(net, x, fast);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_LE(rel(re.delay[i], rf.delay[i]), kDelayRelTol);
-      EXPECT_LE(rel(re.at[i], rf.at[i]), kPathRelTol);
-      EXPECT_LE(rel(re.rt[i], rf.rt[i]), kPathRelTol);
+TEST(Levelization, LevelOrderMatchesTopologicalOrderOnEveryGeneratedCircuit) {
+  for (const NamedNet& t : level_corpus()) {
+    SCOPED_TRACE(t.name);
+    const SizingNetwork& net = t.lc.net;
+    const auto& level = net.level_of();
+    const auto& pos = net.topo_position();
+    const auto& order = net.level_order();
+    const auto& off = net.level_offsets();
+    const int n = net.num_vertices();
+
+    // Structure: offsets partition level_order, levels ascending, sorted by
+    // topological position within a level; every vertex appears once.
+    ASSERT_EQ(static_cast<int>(order.size()), n);
+    ASSERT_EQ(static_cast<int>(off.size()), net.num_levels() + 1);
+    EXPECT_EQ(off.front(), 0);
+    EXPECT_EQ(off.back(), n);
+    std::vector<char> seen(static_cast<std::size_t>(n), 0);
+    for (int l = 0; l < net.num_levels(); ++l) {
+      for (int i = off[static_cast<std::size_t>(l)];
+           i < off[static_cast<std::size_t>(l) + 1]; ++i) {
+        const NodeId v = order[static_cast<std::size_t>(i)];
+        EXPECT_EQ(level[static_cast<std::size_t>(v)], l);
+        EXPECT_FALSE(seen[static_cast<std::size_t>(v)]);
+        seen[static_cast<std::size_t>(v)] = 1;
+        if (i > off[static_cast<std::size_t>(l)]) {
+          EXPECT_LT(pos[static_cast<std::size_t>(
+                        order[static_cast<std::size_t>(i - 1)])],
+                    pos[static_cast<std::size_t>(v)]);
+        }
+      }
     }
-    EXPECT_LE(rel(re.critical_path, rf.critical_path), kPathRelTol);
 
-    // Flipping the mode on a warm scratch must force a full recompute in
-    // the new mode (never mix folds), and flipping back restores exact
-    // results bit for bit.
-    fast.fast_math = false;
-    const TimingReport& back = run_sta(net, x, fast);
-    EXPECT_EQ(re.delay, back.delay);
-    EXPECT_EQ(re.at, back.at);
-    EXPECT_EQ(re.critical_path, back.critical_path);
+    // Arcs: strictly level-increasing (in particular never intra-level).
+    const Digraph& g = net.dag();
+    for (ArcId a = 0; a < g.num_arcs(); ++a)
+      EXPECT_LT(level[static_cast<std::size_t>(g.tail(a))],
+                level[static_cast<std::size_t>(g.head(a))])
+          << "arc " << a;
 
-    // W-phase under fast math: same sweep structure, sizes within the
-    // accumulated-path tolerance.
-    std::vector<double> budget(n);
-    for (NodeId v = 0; v < net.num_vertices(); ++v)
-      budget[static_cast<std::size_t>(v)] = net.delay(v, x);
-    const WPhaseResult we = solve_wphase(net, budget);
-    const WPhaseResult wf = solve_wphase(net, budget, /*arena=*/nullptr,
-                                         /*abort=*/nullptr,
-                                         /*fast_math=*/true);
-    EXPECT_EQ(we.feasible, wf.feasible);
-    ASSERT_EQ(we.sizes.size(), wf.sizes.size());
-    for (std::size_t i = 0; i < we.sizes.size(); ++i)
-      EXPECT_LE(rel(we.sizes[i], wf.sizes[i]), kPathRelTol);
+    // Load terms: never intra-level, and ordered like the topological
+    // order — that equivalence is what makes the level-ordered sweeps read
+    // exactly the values the topological sweeps read.
+    for (NodeId v = 0; v < n; ++v) {
+      for (const LoadTerm& t2 : net.vertex(v).loads) {
+        const NodeId j = t2.vertex;
+        EXPECT_NE(level[static_cast<std::size_t>(v)],
+                  level[static_cast<std::size_t>(j)])
+            << "load " << v << "<-" << j;
+        EXPECT_EQ(pos[static_cast<std::size_t>(v)] < pos[static_cast<std::size_t>(j)],
+                  level[static_cast<std::size_t>(v)] <
+                      level[static_cast<std::size_t>(j)])
+            << "load " << v << "<-" << j;
+      }
+    }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Warm-started W-phase
+// ---------------------------------------------------------------------------
+
+TEST(Wphase, WarmStartMatchesColdOnTriangularNetworks) {
+  // Gate-level loads point strictly downstream: one reverse-topological
+  // sweep is exact from ANY start, so warm == cold bit for bit.
+  const LoweredCircuit lc = lower_gate_level(make_comparator(8), Tech{});
+  const SizingNetwork& net = lc.net;
+  const double dmin = min_sized_delay(net);
+  const TilosResult tilos = run_tilos(net, 0.7 * dmin);
+  ASSERT_TRUE(tilos.met_target);
+  std::vector<double> budget(static_cast<std::size_t>(net.num_vertices()));
+  for (NodeId v = 0; v < net.num_vertices(); ++v)
+    budget[static_cast<std::size_t>(v)] = net.delay(v, tilos.sizes);
+
+  const WPhaseResult cold = solve_wphase(net, budget);
+  ASSERT_TRUE(cold.feasible);
+  const WPhaseResult warm = solve_wphase(net, budget, tilos.sizes);
+  ASSERT_TRUE(warm.feasible);
+  for (std::size_t i = 0; i < cold.sizes.size(); ++i)
+    EXPECT_EQ(cold.sizes[i], warm.sizes[i]) << i;
+
+  // Warm-starting from the fixpoint itself converges in a single sweep and
+  // moves nothing.
+  const WPhaseResult again = solve_wphase(net, budget, cold.sizes);
+  EXPECT_EQ(again.sweeps, 1);
+  EXPECT_EQ(again.sizes, cold.sizes);
+}
+
+TEST(Wphase, WarmStartConvergesToTheSameFixpointOnCoupledNetworks) {
+  // Transistor blocks load each other mutually, so the trajectory is
+  // start-dependent — but the fixpoint is unique: warm and cold must agree
+  // to the sweep tolerance, with the warm start never needing more sweeps.
+  const LoweredCircuit lc = lower_transistor_level(make_ripple_adder(4), Tech{});
+  const SizingNetwork& net = lc.net;
+  std::vector<double> x = net.min_sizes();
+  for (NodeId v = 0; v < net.num_vertices(); ++v)
+    if (!net.is_source(v)) x[static_cast<std::size_t>(v)] *= 3.0;
+  std::vector<double> budget(static_cast<std::size_t>(net.num_vertices()));
+  for (NodeId v = 0; v < net.num_vertices(); ++v)
+    budget[static_cast<std::size_t>(v)] = net.delay(v, x);
+
+  const WPhaseResult cold = solve_wphase(net, budget);
+  ASSERT_TRUE(cold.feasible);
+  const WPhaseResult warm = solve_wphase(net, budget, x);
+  ASSERT_TRUE(warm.feasible);
+  for (std::size_t i = 0; i < cold.sizes.size(); ++i)
+    EXPECT_NEAR(warm.sizes[i], cold.sizes[i],
+                1e-9 * std::max(1.0, cold.sizes[i]))
+        << i;
+  EXPECT_LE(warm.sweeps, cold.sweeps);
 }
 
 }  // namespace

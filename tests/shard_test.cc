@@ -9,11 +9,9 @@
 //    the span decomposition is conservative: the sum of shard-internal
 //    CPs bounds the global CP from above under the same sizes.
 //  - K=1 sharded solve is bit-identical to the monolithic pipeline
-//    (including the unreachable-target path), in the spirit of the
-//    parallel_test bit-identity harness.
+//    (including the unreachable-target path).
 //  - K>1 sharded solve meets the target, with a bounded area gap to the
-//    monolithic solution, and is bit-identical at any worker / inner
-//    thread count.
+//    monolithic solution, and is bit-identical at any worker count.
 //  - Shard metadata round-trips through the engine.
 #include <gtest/gtest.h>
 
@@ -315,7 +313,7 @@ TEST(ShardSolve, UnreachableTargetAtKGreaterThan1ReportsClosestAttempt) {
               r.result.initial.achieved_delay, 1e-9);
 }
 
-TEST(ShardSolve, BitIdenticalAtAnyWorkerAndInnerThreadCount) {
+TEST(ShardSolve, BitIdenticalAtAnyWorkerCount) {
   TiledDatapathParams p;
   p.lanes = 8;
   p.stages = 6;
@@ -326,28 +324,24 @@ TEST(ShardSolve, BitIdenticalAtAnyWorkerAndInnerThreadCount) {
   ShardSolveResult base;
   bool first = true;
   for (const int workers : {1, 2, 4}) {
-    for (const int inner : {1, 2}) {
-      ShardOptions opt;
-      opt.num_shards = 4;
-      opt.runner.threads = workers;
-      opt.runner.inner_threads = inner;
-      ShardSolveResult r = run_sharded_solve(lc.net, target, opt);
-      if (first) {
-        base = std::move(r);
-        first = false;
-        continue;
-      }
-      SCOPED_TRACE("workers=" + std::to_string(workers) +
-                   " inner=" + std::to_string(inner));
-      EXPECT_EQ(r.result.sizes, base.result.sizes);
-      EXPECT_EQ(r.result.area, base.result.area);
-      EXPECT_EQ(r.result.delay, base.result.delay);
-      EXPECT_EQ(r.rounds.size(), base.rounds.size());
-      for (std::size_t i = 0; i < r.rounds.size(); ++i) {
-        EXPECT_EQ(r.rounds[i].critical_path, base.rounds[i].critical_path);
-        EXPECT_EQ(r.rounds[i].area, base.rounds[i].area);
-        EXPECT_EQ(r.rounds[i].spans, base.rounds[i].spans);
-      }
+    ShardOptions opt;
+    opt.num_shards = 4;
+    opt.runner.threads = workers;
+    ShardSolveResult r = run_sharded_solve(lc.net, target, opt);
+    if (first) {
+      base = std::move(r);
+      first = false;
+      continue;
+    }
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    EXPECT_EQ(r.result.sizes, base.result.sizes);
+    EXPECT_EQ(r.result.area, base.result.area);
+    EXPECT_EQ(r.result.delay, base.result.delay);
+    EXPECT_EQ(r.rounds.size(), base.rounds.size());
+    for (std::size_t i = 0; i < r.rounds.size(); ++i) {
+      EXPECT_EQ(r.rounds[i].critical_path, base.rounds[i].critical_path);
+      EXPECT_EQ(r.rounds[i].area, base.rounds[i].area);
+      EXPECT_EQ(r.rounds[i].spans, base.rounds[i].spans);
     }
   }
 }

@@ -331,8 +331,7 @@ TEST(Minflotransit, WireSizingVariantRuns) {
 // std::fill of the path mask, kept verbatim as the reference: run_tilos's
 // arrival-only bumps must reproduce it bit for bit.
 TilosResult reference_tilos(const SizingNetwork& net, double target_delay,
-                            const TilosOptions& opt, ThreadArena* arena,
-                            AbortToken* abort) {
+                            const TilosOptions& opt, AbortToken* abort) {
   MFT_CHECK(opt.bumpsize > 1.0);
   const Tech& tech = net.tech();
   const SweepPlan& pl = net.plan();
@@ -361,8 +360,6 @@ TilosResult reference_tilos(const SizingNetwork& net, double target_delay,
   // changed-hint overload makes the per-iteration delay recompute
   // O(its loaders) with no size scan; the sweeps stay O(V+E).
   TimingScratch sta;
-  sta.arena = arena;
-  sta.fast_math = opt.fast_math;
   std::vector<NodeId> bumped;
   while (true) {
     const TimingReport& timing = bumped.empty()
@@ -464,10 +461,10 @@ void expect_tilos_matches_reference(const Netlist& nl) {
     SCOPED_TRACE(ratio);
     TilosOptions opt;
     expect_same_tilos(run_tilos(net, ratio * dmin, opt),
-                      reference_tilos(net, ratio * dmin, opt, nullptr, nullptr));
+                      reference_tilos(net, ratio * dmin, opt, nullptr));
     opt.pins = &pins;
     expect_same_tilos(run_tilos(net, ratio * dmin, opt),
-                      reference_tilos(net, ratio * dmin, opt, nullptr, nullptr));
+                      reference_tilos(net, ratio * dmin, opt, nullptr));
   }
 }
 

@@ -10,8 +10,7 @@
 //    once (including for canceled jobs).
 //  - The determinism contract: a streamed job set consumed in ticket
 //    order is bit-identical to the same jobs run as a JobRunner batch, at
-//    1/2/4 workers, including shard-extracted networks solved with inner
-//    threads.
+//    1/2/4 workers, including shard-extracted networks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -457,7 +456,7 @@ TEST(StreamingRunner, CancelInterruptsARunningJobCooperatively) {
 // ---------------------------------------------------------------------------
 
 /// The job set: plain jobs over two ordinary circuits plus shard-extracted
-/// networks (the reconciliation workload) solved with 2 inner threads.
+/// networks (the reconciliation workload).
 struct StreamFixture {
   static TiledDatapathParams small_tiled() {
     TiledDatapathParams p;
@@ -486,7 +485,6 @@ struct StreamFixture {
       SizingJob job;
       job.network = i % 4;
       job.target_ratio = ratios[i];
-      if (job.network >= 2) job.inner_threads = 2;  // shard jobs, inner-parallel
       job.label = "job" + std::to_string(i);
       jobs.push_back(std::move(job));
     }
@@ -519,8 +517,8 @@ TEST(StreamingRunner, StreamedJobsAreBitIdenticalToTheBatchAtAnyWorkerCount) {
       EXPECT_EQ(r.seed, x.seed);
       EXPECT_EQ(r.target, x.target);
       EXPECT_EQ(r.dmin, x.dmin);
-      // …and every solution bit must match, regardless of worker count,
-      // arrival interleaving, or inner-thread width.
+      // …and every solution bit must match, regardless of worker count or
+      // arrival interleaving.
       ASSERT_EQ(r.result.sizes.size(), x.result.sizes.size());
       for (std::size_t v = 0; v < x.result.sizes.size(); ++v)
         ASSERT_EQ(r.result.sizes[v], x.result.sizes[v]) << "vertex " << v;

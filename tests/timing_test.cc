@@ -1,14 +1,18 @@
-// Tests for the timing layer: the sizing IR, STA (eq. (8)), delay
-// balancing (Fig. 3/4), gate lowering, and the area/delay linearization
-// weights validated by finite differences through the W-phase.
+// Tests for the timing layer: the sizing IR, STA (eq. (8)) — including the
+// agreement of the hinted, scanning, full and arrival-only paths under
+// randomized size updates — delay balancing (Fig. 3/4), gate lowering, and
+// the area/delay linearization weights validated by finite differences
+// through the W-phase.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "gen/blocks.h"
 #include "sizing/wphase.h"
 #include "timing/delay_balance.h"
 #include "timing/lowering.h"
 #include "timing/sta.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace mft {
@@ -117,8 +121,7 @@ TEST(Sta, ArrivalFoldKeepsACriticalEndpointBeforeTheChange) {
   // A shallow slow path PI -> S(10) and a deep fast one PI -> F1 -> F2 ->
   // F3 (1 each). S ends the critical path at an earlier sweep position than
   // F3, so resizing F3 resumes the fold past the endpoint: it must carry
-  // over from the prefix argmax, also after a level-parallel run_sta that
-  // kept no prefix.
+  // over from the prefix argmax.
   FixedDelayNet f;
   const NodeId pi = f.source("pi");
   const NodeId s = f.vertex("S", 10, /*po=*/true);
@@ -136,18 +139,122 @@ TEST(Sta, ArrivalFoldKeepsACriticalEndpointBeforeTheChange) {
   const TimingReport full = run_sta(f.net, x);
   ASSERT_EQ(full.cp_vertex, s);
 
-  ThreadArena arena(2);
-  for (ThreadArena* a : {static_cast<ThreadArena*>(nullptr), &arena}) {
-    SCOPED_TRACE(a == nullptr ? "sequential" : "level-parallel");
-    TimingScratch scratch;
-    scratch.arena = a;
-    run_sta(f.net, x0, scratch);
-    const TimingReport& r = run_arrivals(f.net, x, scratch, {f3});
-    EXPECT_EQ(r.delay, full.delay);
-    EXPECT_EQ(r.at, full.at);
-    EXPECT_EQ(r.critical_path, 10.0);
-    EXPECT_EQ(r.cp_vertex, s);
-    EXPECT_EQ(r.critical_vertices(f.net), full.critical_vertices(f.net));
+  TimingScratch scratch;
+  run_sta(f.net, x0, scratch);
+  const TimingReport& r = run_arrivals(f.net, x, scratch, {f3});
+  EXPECT_EQ(r.delay, full.delay);
+  EXPECT_EQ(r.at, full.at);
+  EXPECT_EQ(r.critical_path, 10.0);
+  EXPECT_EQ(r.cp_vertex, s);
+  EXPECT_EQ(r.critical_vertices(f.net), full.critical_vertices(f.net));
+}
+
+void expect_reports_identical(const TimingReport& a, const TimingReport& b) {
+  ASSERT_EQ(a.delay.size(), b.delay.size());
+  for (std::size_t i = 0; i < a.delay.size(); ++i) {
+    EXPECT_EQ(a.delay[i], b.delay[i]) << "delay " << i;
+    EXPECT_EQ(a.at[i], b.at[i]) << "at " << i;
+    EXPECT_EQ(a.rt[i], b.rt[i]) << "rt " << i;
+  }
+  EXPECT_EQ(a.critical_path, b.critical_path);
+  EXPECT_EQ(a.cp_vertex, b.cp_vertex);
+}
+
+// Everything an arrival-only report carries: delay, at, the critical path
+// and its walk.
+void expect_arrivals_identical(const SizingNetwork& net,
+                               const TimingReport& full,
+                               const TimingReport& got) {
+  ASSERT_EQ(full.delay.size(), got.delay.size());
+  ASSERT_EQ(full.at.size(), got.at.size());
+  for (std::size_t i = 0; i < full.delay.size(); ++i) {
+    EXPECT_EQ(full.delay[i], got.delay[i]) << "delay " << i;
+    EXPECT_EQ(full.at[i], got.at[i]) << "at " << i;
+  }
+  EXPECT_EQ(full.critical_path, got.critical_path);
+  EXPECT_EQ(full.cp_vertex, got.cp_vertex);
+  EXPECT_EQ(full.critical_vertices(net), got.critical_vertices(net));
+}
+
+TEST(Sta, HintedScanningFullAndArrivalOnlyAgree) {
+  // Randomized size updates timed four ways — the hinted and the scanning
+  // incremental run_sta, a full run_sta, and arrival-only runs interleaved
+  // with run_sta on one scratch — must agree bit for bit.
+  struct Named {
+    std::string name;
+    LoweredCircuit lc;
+  };
+  std::vector<Named> corpus;
+  corpus.push_back({"alu8", lower_gate_level(make_alu(8), Tech{})});
+  RandomLogicParams prm;
+  prm.num_inputs = 32;
+  prm.num_gates = 900;
+  prm.seed = 21;
+  corpus.push_back(
+      {"rnd900", lower_gate_level(make_random_logic(prm), Tech{})});
+  GateLoweringOptions wires;
+  wires.size_wires = true;
+  corpus.push_back(
+      {"adder8+wires", lower_gate_level(make_ripple_adder(8), Tech{}, wires)});
+  corpus.push_back(
+      {"adder4-trans", lower_transistor_level(make_ripple_adder(4), Tech{})});
+  // A second network for the arrival scratch to switch to and back from.
+  const LoweredCircuit other = lower_gate_level(make_c17(), Tech{});
+  const std::vector<double> other_sizes = other.net.min_sizes();
+  const std::vector<NodeId> none;
+  for (const Named& t : corpus) {
+    SCOPED_TRACE(t.name);
+    const SizingNetwork& net = t.lc.net;
+    TimingScratch hinted;
+    TimingScratch scanned;
+    TimingScratch arrivals;
+    Rng rng(0xabdu);
+    auto random_vertex = [&] {
+      NodeId v;
+      do {
+        v = static_cast<NodeId>(
+            rng.index(static_cast<std::size_t>(net.num_vertices())));
+      } while (net.is_source(v));
+      return v;
+    };
+    std::vector<double> x = net.min_sizes();
+    run_sta(net, x, hinted);
+    run_sta(net, x, scanned);
+    run_sta(net, x, arrivals);
+    for (int step = 0; step < 16; ++step) {
+      // Even steps resize one vertex (a TILOS bump), odd steps several.
+      std::vector<NodeId> changed;
+      const int moves = step % 2 == 0 ? 1 : 2 + static_cast<int>(rng.index(3));
+      for (int m = 0; m < moves; ++m) {
+        const NodeId v = random_vertex();
+        x[static_cast<std::size_t>(v)] *= rng.uniform(1.01, 1.5);
+        changed.push_back(v);
+      }
+      // Supersets and duplicates are part of the hint contract.
+      const std::vector<NodeId> once = changed;
+      changed.insert(changed.end(), once.begin(), once.end());
+      changed.push_back(0);
+      const TimingReport full = run_sta(net, x);
+      const TimingReport& h = run_sta(net, x, hinted, changed);
+      expect_reports_identical(run_sta(net, x, scanned), h);
+      expect_reports_identical(full, h);
+      if (step % 5 == 4) {
+        expect_reports_identical(full, run_sta(net, x, arrivals, changed));
+      } else {
+        const TimingReport& a = run_arrivals(net, x, arrivals, changed);
+        expect_arrivals_identical(net, full, a);
+        EXPECT_TRUE(a.rt.empty());
+      }
+    }
+    EXPECT_EQ(hinted.hinted_runs, 16);
+    EXPECT_EQ(scanned.hinted_runs, 0);
+
+    // Switching networks and back refolds each one from scratch.
+    expect_arrivals_identical(other.net, run_sta(other.net, other_sizes),
+                              run_arrivals(other.net, other_sizes, arrivals,
+                                           none));
+    expect_arrivals_identical(net, run_sta(net, x),
+                              run_arrivals(net, x, arrivals, none));
   }
 }
 
