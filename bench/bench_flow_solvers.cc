@@ -106,35 +106,22 @@ struct Iterate {
   double beta;
 };
 
-// The paper's D/W pass, logging the input of every D-phase solve it runs.
-class RecordingDPhasePass : public OptimizerPass {
- public:
-  RecordingDPhasePass(const MinflotransitOptions& opt,
-                      std::vector<Iterate>* log)
-      : inner_(opt.dphase), log_(log) {}
-  const std::string& name() const override { return inner_.name(); }
-  void begin(SizingContext& ctx, PipelineState& s) override {
-    inner_.begin(ctx, s);
-  }
-  PassStatus run(SizingContext& ctx, PipelineState& s) override {
-    log_->push_back({s.sizes, s.beta});
-    return inner_.run(ctx, s);
-  }
-
- private:
-  DPhasePass inner_;
-  std::vector<Iterate>* log_;
-};
-
+// The paper's loop, logging the input of every D-phase solve it runs: the
+// TILOS seed and first W-phase from a Pipeline run without D/W iterations,
+// then the D/W steps one by one.
 std::vector<Iterate> record_iterates(const SizingNetwork& net, double target) {
   const MinflotransitOptions opt;
-  std::vector<Iterate> log;
-  Pipeline p;
-  p.add(std::make_unique<TilosPass>(opt.tilos));
-  p.add(std::make_unique<WPhasePass>());
-  p.add(std::make_unique<RecordingDPhasePass>(opt, &log), opt.max_iterations);
+  MinflotransitOptions seed_only = opt;
+  seed_only.max_iterations = 0;
   SizingContext ctx(net);
-  p.run(ctx, target);
+  PipelineState s = Pipeline(seed_only).run(ctx, target).state;
+  std::vector<Iterate> log;
+  if (!s.met_target) return log;
+  begin_refinement(opt.dphase, s);
+  for (int i = 0; i < opt.max_iterations; ++i) {
+    log.push_back({s.sizes, s.beta});
+    if (!refine_step(ctx, opt.dphase, s)) break;
+  }
   return log;
 }
 

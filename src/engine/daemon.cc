@@ -605,9 +605,12 @@ void SizingDaemon::handle_line(const std::string& line) {
     } else if (op == "shutdown") {
       std::lock_guard<std::mutex> lock(mu_);
       shutdown_ = true;
+      // Engine jobs still running or queued. results_ also counts resize
+      // answers, which are not jobs, so it cannot be subtracted here.
+      const StreamStats es = runner_->stats();
       emit_locked(JsonLine()
                       .str("event", "shutdown")
-                      .uinteger("outstanding", admitted_ - results_)
+                      .uinteger("outstanding", es.submitted - es.completed)
                       .done());
     } else {
       throw EngineError(
@@ -922,7 +925,13 @@ void SizingDaemon::finish_resize(const std::string& id, std::uint64_t sid,
       rec.str("error", rr.error);
     const std::string payload = rec.done();
     journal_append_locked(payload);
-    if (rr.ok) live_records_[{rid, 1}] = payload;
+    // A failed resize never changed state, so rotation drops it whole, as
+    // replay does: keeping its request without its answer would re-apply
+    // and re-answer it on every restart.
+    if (rr.ok)
+      live_records_[{rid, 1}] = payload;
+    else
+      live_records_.erase({rid, 0});
     maybe_compact_locked();
   }
 }

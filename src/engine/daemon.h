@@ -31,7 +31,8 @@
 //   {"event":"result","id":...,"ticket":3,"status":"ok",...}
 //   {"event":"cancel","ticket":3,"ok":true}
 //   {"event":"release","session":1,"ok":true}
-//   {"event":"stats",...}   {"event":"shutdown",...}
+//   {"event":"stats",...}
+//   {"event":"shutdown","outstanding":0}  // engine jobs not yet finished
 //
 // ECO sessions (the warm-start resize path, sizing/resize.h): a submit
 // carrying "session":true is admitted like any job, and its accepted

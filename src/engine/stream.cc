@@ -52,13 +52,13 @@ void execute_job(const SizingJob& job, JobTicket ticket, double dmin,
     ctx.begin_job();
     ctx.set_abort(token);
     // Thread the resolved per-job seed into the pipeline so a stochastic
-    // pass (none in the default pipeline) is reproducible at any thread
-    // count. Running the pipeline directly (instead of through the
-    // run_minflotransit wrapper) surfaces the per-pass stats into the
+    // step (the loop has none) is reproducible at any thread count.
+    // Running the pipeline directly (instead of through the
+    // run_minflotransit wrapper) surfaces the per-step stats into the
     // result and the batch JSON.
     MinflotransitOptions options = job.options;
     options.seed = out.seed;
-    const Pipeline pipeline = make_minflotransit_pipeline(options);
+    const Pipeline pipeline(options);
     PipelineResult pr = pipeline.run(ctx, out.target, options.seed);
     out.result = to_minflotransit_result(ctx, pr);
     out.result.total_seconds = pr.total_seconds;
@@ -363,20 +363,22 @@ JobResult StreamingRunner::stub_result(const Item& item, EngineStatus status,
 }
 
 void StreamingRunner::finish(Item& item, JobResult out) {
-  deliver(item.ticket, item.retain, item.on_complete, std::move(out));
+  if (claim(item.ticket))
+    publish(item.ticket, item.retain, item.on_complete, std::move(out));
 }
 
-bool StreamingRunner::deliver(
+bool StreamingRunner::claim(JobTicket ticket) {
+  // The watchdog escalating a hung job and the worker it un-sticks later
+  // both funnel through here, and exactly one of them wins — the loser's
+  // result is dropped silently.
+  std::lock_guard<std::mutex> lock(mu_);
+  if (outstanding_.count(ticket) == 0) return false;  // already completed
+  return claimed_.insert(ticket).second;  // false: delivery underway
+}
+
+void StreamingRunner::publish(
     JobTicket ticket, bool retain,
     const std::function<void(const JobResult&)>& on_complete, JobResult out) {
-  {
-    // Claim the ticket: the watchdog escalating a hung job and the worker
-    // it un-sticks later both funnel through here, and exactly one of
-    // them wins — the loser's result is dropped silently.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (outstanding_.count(ticket) == 0) return false;  // already completed
-    if (!claimed_.insert(ticket).second) return false;  // delivery underway
-  }
   if (on_complete) {
     // Callbacks are serialized with each other (like the batch progress
     // hook) and fire before the result becomes collectible, so a
@@ -402,7 +404,6 @@ bool StreamingRunner::deliver(
     ++completed_;
   }
   done_cv_.notify_all();
-  return true;
 }
 
 bool StreamingRunner::maybe_retry(Item& item, const JobResult& out) {
@@ -610,7 +611,10 @@ void StreamingRunner::watchdog_scan() {
     out.error =
         "hung: heartbeat silent past hang_timeout and the abort token was "
         "not honored within the grace period";
-    if (deliver(ticket, info.retain, info.on_complete, std::move(out))) {
+    // Count the hang and bring the replacement up before the result is
+    // published: whoever sees the kHung result also sees both counters
+    // include it, and the lost worker's capacity already restored.
+    if (claim(ticket)) {
       slot->lost.store(true, std::memory_order_release);
       bool respawn = false;
       {
@@ -626,6 +630,7 @@ void StreamingRunner::watchdog_scan() {
         std::lock_guard<std::mutex> lock(mu_);
         ++respawns_;
       }
+      publish(ticket, info.retain, info.on_complete, std::move(out));
     }
     watch_.erase(slot);
   }

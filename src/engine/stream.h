@@ -545,11 +545,13 @@ class StreamingRunner {
                         const NetInfo* info, bool retain);
   void worker_main(int worker_id, WorkerSlot* slot);
   void finish(Item& item, JobResult out);
-  /// Completes `ticket` exactly once: claims it under mu_ (false when the
-  /// ticket was already finished — e.g. the watchdog and a late worker
-  /// racing), fires the callback, publishes counters + the retained
-  /// result. Every completion path funnels through here.
-  bool deliver(JobTicket ticket, bool retain,
+  /// Completes `ticket` exactly once, in two halves. claim() takes it
+  /// under mu_ (false when the ticket was already finished or its
+  /// completion is underway — e.g. the watchdog and a late worker
+  /// racing); publish() then fires the callback and publishes counters +
+  /// the retained result. Every completion path funnels through both.
+  bool claim(JobTicket ticket);
+  void publish(JobTicket ticket, bool retain,
                const std::function<void(const JobResult&)>& on_complete,
                JobResult out);
   /// Retry gate for a worker-produced outcome: re-enqueues a transient
@@ -610,11 +612,11 @@ class StreamingRunner {
   std::unordered_map<JobTicket, JobResult> ready_;
   std::unordered_set<JobTicket> outstanding_;
   /// Abort token of every not-yet-completed job, for cancel(); erased by
-  /// deliver(). Guarded by mu_.
+  /// publish(). Guarded by mu_.
   std::unordered_map<JobTicket, std::shared_ptr<AbortToken>> tokens_;
-  /// Tickets whose completion is underway (claimed in deliver(), erased
-  /// when the result is published): makes worker-vs-watchdog completion
-  /// races resolve to exactly one delivery. Guarded by mu_.
+  /// Tickets whose completion is underway (taken by claim(), erased by
+  /// publish()): makes worker-vs-watchdog completion races resolve to
+  /// exactly one delivery. Guarded by mu_.
   std::unordered_set<JobTicket> claimed_;
   /// Dispatch snapshots of running jobs, keyed by ticket (see Inflight).
   /// Guarded by mu_.

@@ -38,8 +38,7 @@ enum Dir : int {
 // pointers and runs the algorithm.
 class Simplex {
  public:
-  Simplex(const McfProblem& p, const NetworkSimplexOptions& opt,
-          McfWorkspace& ws)
+  Simplex(const McfProblem& p, McfWorkspace& ws)
       : p_(p),
         ws_(ws),
         n_(p.num_nodes()),
@@ -94,16 +93,14 @@ class Simplex {
     }
     if (!warm || !warm_start()) cold_start();
 
-    list_size_ =
-        opt.candidate_list_size > 0
-            ? opt.candidate_list_size
-            : std::max(30, static_cast<int>(
-                               1.25 * std::sqrt(static_cast<double>(m_))));
-    minor_limit_ = opt.minor_limit > 0 ? opt.minor_limit
-                                       : std::max(3, list_size_ / 10);
-    max_pivots_ = opt.max_pivots > 0
-                      ? opt.max_pivots
-                      : 50 * static_cast<std::int64_t>(m_) + 1000;
+    // Candidate-list pricing: a shortlist of ~1.25*sqrt(m) arcs, served
+    // for a tenth of its size in pivots before a rebuild, and a hard safety
+    // cap on pivots (guards against a cycling bug, not expected to
+    // trigger).
+    list_size_ = std::max(
+        30, static_cast<int>(1.25 * std::sqrt(static_cast<double>(m_))));
+    minor_limit_ = std::max(3, list_size_ / 10);
+    max_pivots_ = 50 * static_cast<std::int64_t>(m_) + 1000;
     ws_.candidates.resize(static_cast<std::size_t>(list_size_));
     candidates_p_ = ws_.candidates.data();
   }
@@ -559,7 +556,7 @@ class Simplex {
 }  // namespace
 
 McfSolution solve_network_simplex(const McfProblem& p,
-                                  const NetworkSimplexOptions& opt,
+                                  const NetworkSimplexOptions&,
                                   McfWorkspace* ws) {
   MFT_FAULT_POINT("flow.solve");
   if (p.num_nodes() == 0) {
@@ -573,7 +570,7 @@ McfSolution solve_network_simplex(const McfProblem& p,
   }
   McfWorkspace local;
   McfWorkspace& w = ws ? *ws : local;
-  McfSolution sol = Simplex(p, opt, w).run();
+  McfSolution sol = Simplex(p, w).run();
   w.ns_pivots_total += w.ns_pivots;
   return sol;
 }

@@ -67,7 +67,7 @@ struct DPhaseWorkspace {
 /// `changed` (optional) is a superset of the vertices whose size differs
 /// from the sizes the workspace's scratch last timed — forwarded to
 /// run_sta's changed-hint overload so the internal STA skips its O(n)
-/// size-diff scan. DPhasePass passes an empty hint when the acceptance STA
+/// size-diff scan. refine_step passes an empty hint when the acceptance STA
 /// has just timed `sizes` on the same scratch, and nullptr whenever the
 /// diff is not known (fresh workspace, re-anchored iterate); the scan
 /// fallback is always correct. Results are identical either way.

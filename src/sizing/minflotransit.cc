@@ -5,14 +5,14 @@
 
 namespace mft {
 
-// The D/W alternation itself lives in sizing/pass.cc as the default pass
-// pipeline; these wrappers are the stable public API. engine_test.cc pins
-// them bit-identically against a verbatim copy of the pre-refactor loop.
+// The loop itself lives in sizing/pass.cc as Pipeline::run; these wrappers
+// are the stable public API. engine_test.cc pins them bit-identically
+// against a verbatim copy of the pre-refactor loop.
 
 MinflotransitResult run_minflotransit(SizingContext& ctx, double target_delay,
                                       const MinflotransitOptions& opt) {
   Stopwatch total;
-  const Pipeline pipeline = make_minflotransit_pipeline(opt);
+  const Pipeline pipeline(opt);
   MinflotransitResult res =
       to_minflotransit_result(ctx, pipeline.run(ctx, target_delay, opt.seed));
   res.total_seconds = total.seconds();

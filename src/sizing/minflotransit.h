@@ -2,11 +2,11 @@
 // D-phase (min-cost-flow delay-budget redistribution) and W-phase (SMP
 // minimum-area re-sizing) until the area improvement becomes negligible.
 //
-// Since the pass-pipeline refactor these entry points are thin wrappers
-// over sizing/pass.h (make_minflotransit_pipeline) — kept as the stable
-// public API. Callers that run many sizings on one network should hold a
-// SizingContext and use the context overload so no solver state is rebuilt
-// per call; the engine layer (engine/runner.h) does exactly that.
+// These entry points are thin wrappers over sizing/pass.h (Pipeline), kept
+// as the stable public API. Callers that run many sizings on one network
+// should hold a SizingContext and use the context overload so no solver
+// state is rebuilt per call; the engine layer (engine/runner.h) does
+// exactly that.
 #pragma once
 
 #include "sizing/dphase.h"
@@ -28,10 +28,10 @@ struct MinflotransitOptions {
   TilosOptions tilos;
   DPhaseOptions dphase;
   int max_iterations = 100;  ///< §3: "no more than 100 iterations"
-  /// Seed forwarded into PipelineState for stochastic passes. The default
-  /// passes are fully deterministic and ignore it; the engine layer sets
-  /// it per job (derived from the batch base seed) so any future
-  /// randomized pass stays reproducible at every thread count.
+  /// Seed forwarded into PipelineState. The loop is fully deterministic
+  /// and ignores it; the engine layer sets it per job (derived from the
+  /// batch base seed) so any future randomized step stays reproducible at
+  /// every thread count.
   std::uint64_t seed = 0;
 };
 

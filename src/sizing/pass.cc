@@ -1,23 +1,16 @@
 #include "sizing/pass.h"
 
-#include <algorithm>
-
 #include "util/abort.h"
 #include "util/stopwatch.h"
 
 namespace mft {
 
-void OptimizerPass::begin(SizingContext&, PipelineState&) {}
+namespace {
 
-// ---------------------------------------------------------------------------
-// TilosPass
-// ---------------------------------------------------------------------------
-
-TilosPass::TilosPass(const TilosOptions& opt) : opt_(opt) {}
-
-PassStatus TilosPass::run(SizingContext& ctx, PipelineState& s) {
+/// §2.4 step 1: TILOS seed from minimum sizes. Initializes sizes/best and
+/// returns false when the target is unreachable.
+bool tilos_step(SizingContext& ctx, TilosOptions opt, PipelineState& s) {
   Stopwatch sw;
-  TilosOptions opt = opt_;
   if (opt.pins == nullptr) opt.pins = ctx.pins();
   s.initial = run_tilos(ctx.net(), s.target_delay, opt, nullptr, ctx.abort());
   s.tilos_seconds = sw.seconds();
@@ -26,21 +19,17 @@ PassStatus TilosPass::run(SizingContext& ctx, PipelineState& s) {
   s.best_area = s.initial.area;
   s.met_target = s.initial.met_target;
   // Target unreachable: report the TILOS attempt unrefined.
-  return s.met_target ? PassStatus::kDone : PassStatus::kAbort;
+  return s.met_target;
 }
 
-// ---------------------------------------------------------------------------
-// WPhasePass
-// ---------------------------------------------------------------------------
-
-PassStatus WPhasePass::run(SizingContext& ctx, PipelineState& s) {
+/// W-phase at budgets equal to the current achieved delays: the identity on
+/// interior points, but canonicalizes min-clamped vertices onto the SMP
+/// fixpoint so D-phase linearizations start from a consistent point.
+void wphase_step(SizingContext& ctx, PipelineState& s) {
   const SizingNetwork& net = ctx.net();
-  // W-phase at unchanged budgets: identity on interior points, but
-  // canonicalizes min-clamped vertices onto the SMP fixpoint so later
-  // D-phase linearizations start from a consistent point. All *area*
-  // improvement comes from the D-phase budget moves. Warm-started from the
-  // current iterate — which already satisfies these budgets, so the sweeps
-  // only have to settle the min-clamped vertices.
+  // All *area* improvement comes from the D-phase budget moves.
+  // Warm-started from the current iterate — which already satisfies these
+  // budgets, so the sweeps only have to settle the min-clamped vertices.
   const TimingReport& t0 = ctx.sta(s.sizes);
   const WPhaseResult w0 = solve_wphase(net, t0.delay, s.sizes, nullptr,
                                        ctx.abort(), false, ctx.pins());
@@ -54,32 +43,28 @@ PassStatus WPhasePass::run(SizingContext& ctx, PipelineState& s) {
       s.best_area = area0;
     }
   }
-  return PassStatus::kDone;
 }
 
-// ---------------------------------------------------------------------------
-// DPhasePass
-// ---------------------------------------------------------------------------
+}  // namespace
 
-DPhasePass::DPhasePass(const DPhaseOptions& opt) : opt_(opt) {}
-
-void DPhasePass::begin(SizingContext&, PipelineState& s) {
-  s.beta = opt_.beta;
+void begin_refinement(const DPhaseOptions& opt, PipelineState& s) {
+  s.beta = opt.beta;
   s.backoffs = 0;
   s.stagnant = 0;
-  // The context scratch last timed whatever ran before this pass, maybe an
-  // earlier job: the first iteration finds the difference by scan.
+  // The context scratch last timed whatever ran before the refinement,
+  // maybe an earlier job: the first iteration finds the difference by scan.
   s.sizes_timed = false;
 }
 
-PassStatus DPhasePass::run(SizingContext& ctx, PipelineState& s) {
+bool refine_step(SizingContext& ctx, const DPhaseOptions& opt,
+                 PipelineState& s) {
   const SizingNetwork& net = ctx.net();
-  DPhaseOptions dopt = opt_;
+  DPhaseOptions dopt = opt;
   dopt.beta = s.beta;
   const std::vector<NodeId> none_changed;
   const DPhaseResult d = run_dphase(net, s.sizes, dopt, &ctx.dphase(),
                                     s.sizes_timed ? &none_changed : nullptr);
-  if (!d.solved) return PassStatus::kDone;
+  if (!d.solved) return false;
   const WPhaseResult w = solve_wphase(net, d.budget, s.sizes, nullptr,
                                       ctx.abort(), false, ctx.pins());
   s.wphase_sweeps += w.sweeps;
@@ -93,10 +78,10 @@ PassStatus DPhasePass::run(SizingContext& ctx, PipelineState& s) {
   if (!ok) {
     // Linearization overstepped (timing broke or area regressed):
     // re-anchor at the best solution, shrink the trust region, retry.
-    if (++s.backoffs > kMaxBetaBackoffs) return PassStatus::kDone;
+    if (++s.backoffs > kMaxBetaBackoffs) return false;
     s.beta *= 0.5;
     s.sizes = s.best_sizes;
-    return PassStatus::kRepeat;
+    return true;
   }
   s.backoffs = 0;
   s.sizes = w.sizes;
@@ -108,26 +93,15 @@ PassStatus DPhasePass::run(SizingContext& ctx, PipelineState& s) {
     s.best_sizes = s.sizes;
   }
   if (improvement < kRelImprovementStop) {
-    if (++s.stagnant >= kStagnationPatience) return PassStatus::kDone;
+    if (++s.stagnant >= kStagnationPatience) return false;
   } else {
     s.stagnant = 0;
   }
-  return PassStatus::kRepeat;
+  return true;
 }
 
-// ---------------------------------------------------------------------------
-// Pipeline
-// ---------------------------------------------------------------------------
-
-Pipeline& Pipeline::add(std::unique_ptr<OptimizerPass> pass, int max_repeats) {
-  MFT_CHECK(pass != nullptr);
-  MFT_CHECK(max_repeats >= 0);
-  entries_.push_back(Entry{std::move(pass), max_repeats});
-  return *this;
-}
-
-const std::string& Pipeline::pass_name(int i) const {
-  return entries_[static_cast<std::size_t>(i)].pass->name();
+Pipeline::Pipeline(const MinflotransitOptions& opt) : opt_(opt) {
+  MFT_CHECK(opt_.max_iterations >= 0);
 }
 
 PipelineResult Pipeline::run(SizingContext& ctx, double target_delay,
@@ -137,45 +111,40 @@ PipelineResult Pipeline::run(SizingContext& ctx, double target_delay,
   PipelineState& s = out.state;
   s.target_delay = target_delay;
   s.seed = seed;
-  out.pass_stats.reserve(entries_.size());
+  out.pass_stats = {{"tilos"}, {"wphase"}, {"dphase"}};
 
+  // Step-granularity checkpoint: once the token trips, no later step runs
+  // and the best-so-far state is surfaced.
   AbortToken* tok = ctx.abort();
-  bool aborted = false;
-  for (const Entry& e : entries_) {
-    PassStats stats;
-    stats.name = e.pass->name();
-    if (!aborted && e.max_repeats > 0) {
-      e.pass->begin(ctx, s);
-      for (int rep = 0; rep < e.max_repeats; ++rep) {
-        // Pass-granularity checkpoint: once the token trips, stop invoking
-        // passes and surface the best-so-far state.
-        if (tok != nullptr && tok->step()) {
-          aborted = true;
-          break;
-        }
-        Stopwatch sw;
-        const PassStatus st = e.pass->run(ctx, s);
-        stats.seconds += sw.seconds();
-        ++stats.invocations;
-        stats.sweeps += s.wphase_sweeps;
-        s.wphase_sweeps = 0;
-        if (st == PassStatus::kAbort) aborted = true;
-        if (st != PassStatus::kRepeat) break;
-      }
-    }
-    out.pass_stats.push_back(std::move(stats));
+  const auto tripped = [tok] { return tok != nullptr && tok->step(); };
+  // Runs one step, which returns whether the loop goes on, and charges its
+  // wall time and W-phase sweeps to `stats`.
+  const auto timed = [&s](PassStats& stats, const auto& step) {
+    Stopwatch sw;
+    const bool more = step();
+    stats.seconds += sw.seconds();
+    ++stats.invocations;
+    stats.sweeps += s.wphase_sweeps;
+    s.wphase_sweeps = 0;
+    return more;
+  };
+  bool go = !tripped() && timed(out.pass_stats[0], [&] {
+    return tilos_step(ctx, opt_.tilos, s);
+  });
+  go = go && !tripped() && timed(out.pass_stats[1], [&] {
+    wphase_step(ctx, s);
+    return true;
+  });
+  if (go && opt_.max_iterations > 0) {
+    begin_refinement(opt_.dphase, s);
+    for (int i = 0; go && i < opt_.max_iterations; ++i)
+      go = !tripped() && timed(out.pass_stats[2], [&] {
+        return refine_step(ctx, opt_.dphase, s);
+      });
   }
   if (tok != nullptr) s.abort_status = tok->tripped();
   out.total_seconds = total.seconds();
   return out;
-}
-
-Pipeline make_minflotransit_pipeline(const MinflotransitOptions& opt) {
-  Pipeline p;
-  p.add(std::make_unique<TilosPass>(opt.tilos));
-  p.add(std::make_unique<WPhasePass>());
-  p.add(std::make_unique<DPhasePass>(opt.dphase), opt.max_iterations);
-  return p;
 }
 
 MinflotransitResult to_minflotransit_result(SizingContext& ctx,

@@ -1,23 +1,21 @@
-// Pass layer of the sizing engine: the MINFLOTRANSIT phases as composable
-// optimizer passes over a SizingContext.
+// Pass layer of the sizing engine: the MINFLOTRANSIT loop over a
+// SizingContext.
 //
-// The paper's pipeline (§2.4) is TILOS seeding followed by an alternating
-// D-phase/W-phase refinement. Historically that lived as one hard-coded
-// loop in run_minflotransit(); here each phase is an OptimizerPass and a
-// Pipeline runs a configured sequence of (pass, repeat-budget) entries over
-// shared PipelineState. The default pipeline built by
-// make_minflotransit_pipeline() reproduces the legacy loop *bit-identically*
-// (asserted by tests/engine_test.cc against a verbatim copy of the old
-// driver); the shard and resize layers reuse the passes on their own
-// networks.
+// The paper's algorithm (§2.4) is one fixed loop: a TILOS seed from minimum
+// sizes, one W-phase at the achieved delays, then alternating
+// D-phase/W-phase refinement until the area gain is negligible.
+// Pipeline::run is that loop. It reproduces the pre-refactor
+// run_minflotransit *bit-identically* (asserted by tests/engine_test.cc
+// against a verbatim copy of the old driver). The D/W iteration is also
+// exposed on its own (begin_refinement / refine_step): the resize layer
+// refines an already-feasible iterate with it, without a TILOS seed.
 //
-// Control flow: a pass returns kRepeat to be invoked again (up to its
-// entry's repeat budget), kDone to advance to the next entry, or kAbort to
-// end the whole pipeline (TILOS failing its delay target). Per-pass
-// instrumentation (invocations, wall seconds) is collected by the Pipeline.
+// Control flow: one AbortToken::step() before TILOS, one before the W-phase
+// and one before each D/W iteration; an unreachable target or a tripped
+// token skips every later step. Per-step instrumentation (invocations, wall
+// seconds, W-phase sweeps) is collected into PipelineResult::pass_stats.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,7 +25,7 @@
 
 namespace mft {
 
-/// Mutable state threaded through the passes of one Pipeline::run().
+/// Mutable state threaded through the steps of one Pipeline::run().
 struct PipelineState {
   double target_delay = 0.0;
   std::uint64_t seed = 0;  ///< deterministic per-job seed (engine layer)
@@ -38,7 +36,7 @@ struct PipelineState {
   bool met_target = false;
 
   TilosResult initial;         ///< the TILOS seed solution
-  double tilos_seconds = 0.0;  ///< wall time of the TILOS pass
+  double tilos_seconds = 0.0;  ///< wall time of the TILOS step
 
   /// Why the run was cut short, if the context's AbortToken tripped
   /// (kCanceled / kDeadlineExpired / kStepBudget); kOk on a full run. When
@@ -48,122 +46,66 @@ struct PipelineState {
 
   std::vector<IterationLog> iterations;  ///< accepted D/W iterations
 
-  // D-phase trust-region machinery (owned here so a Pipeline object can be
-  // reused across runs; DPhasePass::begin re-initializes them).
+  // D-phase trust-region machinery, (re)armed by begin_refinement.
   double beta = 0.0;
   int backoffs = 0;
   int stagnant = 0;
 
   /// True when the context's timing scratch last timed exactly `sizes`:
   /// set when a D/W iteration is accepted (its acceptance STA timed the
-  /// new iterate), cleared by DPhasePass::begin and by a β backoff. The
+  /// new iterate), cleared by begin_refinement and by a β backoff. The
   /// next D-phase then passes run_dphase an empty change hint instead of
   /// scanning for the difference.
   bool sizes_timed = false;
 
-  /// W-phase Gauss–Seidel sweeps since the Pipeline last harvested the
-  /// counter into the running entry's PassStats (pass implementations only
-  /// ever add to it).
+  /// W-phase Gauss–Seidel sweeps since Pipeline::run last harvested the
+  /// counter into the running step's PassStats (the steps only ever add to
+  /// it).
   std::int64_t wphase_sweeps = 0;
 };
 
-enum class PassStatus {
-  kRepeat,  ///< invoke this pass again (subject to its repeat budget)
-  kDone,    ///< this pass is finished; advance to the next pipeline entry
-  kAbort,   ///< unrecoverable (e.g. infeasible target): end the pipeline
-};
-
-class OptimizerPass {
- public:
-  virtual ~OptimizerPass() = default;
-  virtual const std::string& name() const = 0;
-  /// Called once per Pipeline::run() before the first invocation.
-  virtual void begin(SizingContext& ctx, PipelineState& s);
-  virtual PassStatus run(SizingContext& ctx, PipelineState& s) = 0;
-};
-
-/// §2.4 step 1: TILOS seed from minimum sizes. Initializes sizes/best and
-/// aborts the pipeline when the target is unreachable.
-class TilosPass : public OptimizerPass {
- public:
-  explicit TilosPass(const TilosOptions& opt = {});
-  const std::string& name() const override { return name_; }
-  PassStatus run(SizingContext& ctx, PipelineState& s) override;
-
- private:
-  std::string name_ = "tilos";
-  TilosOptions opt_;
-};
-
-/// W-phase at budgets equal to the current achieved delays: the identity on
-/// interior points, but canonicalizes min-clamped vertices onto the SMP
-/// fixpoint so D-phase linearizations start from a consistent point.
-class WPhasePass : public OptimizerPass {
- public:
-  const std::string& name() const override { return name_; }
-  PassStatus run(SizingContext& ctx, PipelineState& s) override;
-
- private:
-  std::string name_ = "wphase";
-};
+/// Arms the D/W refinement on `s`: the trust bound β from `opt`, zeroed
+/// backoff and stagnation counters, and an unknown timing of s.sizes.
+void begin_refinement(const DPhaseOptions& opt, PipelineState& s);
 
 /// One D-phase/W-phase refinement iteration with the trust-region backoff
-/// (kMaxBetaBackoffs) and the stagnation stopping rule
-/// (kRelImprovementStop, kStagnationPatience) of run_minflotransit.
-/// Returns kRepeat while progress is possible; the enclosing entry's
-/// repeat budget is the paper's max-iteration cap.
-class DPhasePass : public OptimizerPass {
- public:
-  explicit DPhasePass(const DPhaseOptions& opt);
-  const std::string& name() const override { return name_; }
-  void begin(SizingContext& ctx, PipelineState& s) override;
-  PassStatus run(SizingContext& ctx, PipelineState& s) override;
+/// (kMaxBetaBackoffs) and the stagnation stopping rule (kRelImprovementStop,
+/// kStagnationPatience) of run_minflotransit. Returns true while progress
+/// is possible; the caller caps the iteration count (the paper's
+/// max_iterations). Call begin_refinement first.
+bool refine_step(SizingContext& ctx, const DPhaseOptions& opt,
+                 PipelineState& s);
 
- private:
-  std::string name_ = "dphase";
-  DPhaseOptions opt_;
-};
-
-/// Per-pass instrumentation of one Pipeline::run().
+/// Per-step instrumentation of one Pipeline::run().
 struct PassStats {
   std::string name;
   int invocations = 0;
   double seconds = 0.0;
-  /// W-phase Gauss–Seidel sweeps executed by this entry's invocations
-  /// (warm-started passes show how much cheaper repeated W-phases get).
+  /// W-phase Gauss–Seidel sweeps executed by this step's invocations
+  /// (warm-started W-phases show how much cheaper repeated ones get).
   std::int64_t sweeps = 0;
 };
 
 struct PipelineResult {
   PipelineState state;
-  std::vector<PassStats> pass_stats;  ///< one entry per pipeline entry
+  /// "tilos", "wphase" and "dphase", in that order, always all three.
+  std::vector<PassStats> pass_stats;
   double total_seconds = 0.0;
 };
 
-/// An ordered sequence of (pass, repeat budget) entries.
+/// The paper's loop: TILOS, one W-phase, then up to max_iterations D/W
+/// iterations.
 class Pipeline {
  public:
-  /// Appends a pass invoked up to `max_repeats` times (until it stops
-  /// returning kRepeat). Returns *this for chaining.
-  Pipeline& add(std::unique_ptr<OptimizerPass> pass, int max_repeats = 1);
+  explicit Pipeline(const MinflotransitOptions& opt = {});
 
-  /// Runs the configured passes on ctx at the given delay target.
+  /// Runs the loop on ctx at the given delay target.
   PipelineResult run(SizingContext& ctx, double target_delay,
                      std::uint64_t seed = 0) const;
 
-  int num_passes() const { return static_cast<int>(entries_.size()); }
-  const std::string& pass_name(int i) const;
-
  private:
-  struct Entry {
-    std::unique_ptr<OptimizerPass> pass;
-    int max_repeats = 1;
-  };
-  std::vector<Entry> entries_;
+  MinflotransitOptions opt_;
 };
-
-/// The paper's pipeline: [TilosPass, WPhasePass, DPhasePass × max_iter].
-Pipeline make_minflotransit_pipeline(const MinflotransitOptions& opt = {});
 
 /// Converts a finished pipeline run into the legacy result struct,
 /// including the final STA through the context scratch.

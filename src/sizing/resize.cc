@@ -24,22 +24,21 @@ constexpr int kHaloLevels = 2;
 constexpr int kMaxLocalIterations = 8;
 
 /// Bounded D/W area-recovery loop over an already-feasible iterate: the
-/// DPhasePass trust-region machinery run standalone (no TILOS, no full
-/// pipeline), stopping after kMaxLocalIterations iterations or when the
-/// pass stops asking to repeat. `sizes` must meet `target` on entry; on
-/// exit it holds the best feasible iterate found.
+/// refinement step of the MINFLOTRANSIT loop run standalone (no TILOS, no
+/// full pipeline), stopping after kMaxLocalIterations iterations or when
+/// the step reports no further progress. `sizes` must meet `target` on
+/// entry; on exit it holds the best feasible iterate found.
 void refine_area(SizingContext& ctx, const MinflotransitOptions& opt,
                  double target, std::vector<double>& sizes) {
-  DPhasePass dp(opt.dphase);
   PipelineState st;
   st.target_delay = target;
   st.sizes = sizes;
   st.best_sizes = sizes;
   st.best_area = ctx.net().area(sizes);
   st.met_target = true;
-  dp.begin(ctx, st);
+  begin_refinement(opt.dphase, st);
   for (int i = 0; i < kMaxLocalIterations; ++i)
-    if (dp.run(ctx, st) != PassStatus::kRepeat) break;
+    if (!refine_step(ctx, opt.dphase, st)) break;
   sizes = st.best_sizes;
 }
 

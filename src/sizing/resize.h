@@ -27,7 +27,7 @@
 //    back;
 //  - large delta (dirty region above ResizeOptions::full_solve_frac, or a
 //    warm attempt that fails its budgets) → full cold solve, with pins
-//    enforced through the pass pipeline (SizingContext::set_pins).
+//    enforced through the MINFLOTRANSIT loop (SizingContext::set_pins).
 //
 // Every non-fixpoint answer is re-verified by a full from-scratch STA over
 // the whole network before it is adopted or returned; a warm answer that

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "sizing/context.h"
+#include "sizing/pass.h"
 #include "util/abort.h"
 #include "util/fault.h"
 #include "util/stopwatch.h"
@@ -261,10 +262,12 @@ ShardNetwork build_shard_network(const SizingNetwork& net,
 }
 
 // ---------------------------------------------------------------------------
-// ShardReconcilePass
+// run_sharded_solve's reconciliation rounds
 // ---------------------------------------------------------------------------
 
-struct ShardReconcilePass::ShardState {
+namespace {
+
+struct ShardState {
   ShardNetwork net;            ///< rebuilt whenever the shard is re-solved
   std::vector<double> frozen;  ///< frozen_loads sizes at the last build
   std::vector<double> sizes;   ///< last shard-local solution
@@ -273,48 +276,76 @@ struct ShardReconcilePass::ShardState {
   bool dirty = true;
 };
 
-ShardReconcilePass::ShardReconcilePass(const ShardOptions& opt) : opt_(opt) {
-  MFT_CHECK(opt_.num_shards >= 1);
-  MFT_CHECK(opt_.max_rounds >= 1);
+/// The persistent streaming pool's options for a K-shard solve. Rebuilt
+/// dirty shard networks carry fresh serials each round, so an unbounded
+/// context pool would grow by one dead context per shard job; the unset
+/// limit is promoted to the shard count (an explicit limit is honored).
+/// Worker-side transient failures (a faulted flow solve, a dead worker)
+/// ride the engine's generic retry policy — same ticket, same seed, one
+/// extra attempt — instead of a hand-rolled resubmit; an explicit caller
+/// policy is honored. Extraction faults are coordinator-side and retried
+/// at submit time (Reconciler::round).
+JobRunnerOptions shard_runner_options(const ShardOptions& opt, int k) {
+  JobRunnerOptions ropt = opt.runner;
+  if (ropt.context_cache_limit == 0 && k > 1) ropt.context_cache_limit = k;
+  if (ropt.retry.max_attempts <= 1) ropt.retry.max_attempts = 2;
+  return ropt;
 }
 
-ShardReconcilePass::~ShardReconcilePass() = default;
+/// The reconciliation rounds of one run_sharded_solve over the
+/// full-network context. The constructor partitions, budgets, and brings up
+/// the persistent streaming worker pool; each round() streams the dirty
+/// shard jobs as they are rebuilt, consumes and stitches them in ticket
+/// order, then runs the STA + re-budget barrier, and returns true until the
+/// boundary budgets converge. The stitched iterate/best go into a
+/// PipelineState, so to_minflotransit_result applies unchanged, and the
+/// diagnostics straight into the ShardSolveResult. Deterministic at any
+/// worker count: submission order and ticket-ordered consumption are pure
+/// functions of the dirty sets, never of arrival order.
+class Reconciler {
+ public:
+  Reconciler(SizingContext& ctx, const ShardOptions& opt, PipelineState& s,
+             ShardSolveResult& out);
+  /// The progress callbacks handed to the pool hold `this`.
+  Reconciler(const Reconciler&) = delete;
+  Reconciler& operator=(const Reconciler&) = delete;
+  bool round(SizingContext& ctx, PipelineState& s);
 
-void ShardReconcilePass::begin(SizingContext& ctx, PipelineState& s) {
+ private:
+  void rebudget(const SizingNetwork& net, const TimingReport& timing,
+                const std::vector<double>& sizes, double target);
+
+  const ShardOptions& opt_;
+  ShardSolveResult& out_;
+  ShardPartition part_;
+  std::vector<ShardState> shards_;
+  /// Round-1 stitch, restored into PipelineState::initial if a later
+  /// round is the first to meet the target (unmet rounds in between
+  /// overwrite `initial` with the closest attempt, which only the
+  /// never-met outcome should report).
+  TilosResult first_stitch_;
+  int round_ = 0;
+  int progress_done_ = 0;  ///< ShardOptions::runner.progress completion count
+  double best_unmet_cp_ = kInf;
+  /// One persistent worker pool for all of the solve's reconciliation
+  /// rounds, so tickets (and the seeds derived from them) start at 0.
+  /// Declared *last*: members destroy in reverse order, so the runner
+  /// joins its workers — who may still hold jobs pointing at shards_'
+  /// networks when an unwinding throw skips the ticket waits — before
+  /// those networks are freed.
+  StreamingRunner stream_;
+};
+
+Reconciler::Reconciler(SizingContext& ctx, const ShardOptions& opt,
+                       PipelineState& s, ShardSolveResult& out)
+    : opt_(opt),
+      out_(out),
+      part_(partition_levels(ctx.net(), opt.num_shards)),
+      shards_(static_cast<std::size_t>(part_.num_shards())),
+      stream_(shard_runner_options(opt, part_.num_shards())) {
   const SizingNetwork& net = ctx.net();
-  MFT_CHECK(net.num_sizeable() > 0);
-  // Join any previous run's pool before its shard networks are replaced.
-  stream_.reset();
-  part_ = partition_levels(net, opt_.num_shards);
-  cuts_ = part_.cut_levels;
-  shards_.clear();
-  shards_.resize(static_cast<std::size_t>(part_.num_shards()));
-  rounds_.clear();
-  first_stitch_ = TilosResult{};
-  round_ = 0;
-  shard_jobs_ = 0;
-  shard_retries_ = 0;
-  shard_failures_ = 0;
-  progress_done_ = 0;
-  reconcile_seconds_ = 0.0;
-  converged_ = false;
-  best_unmet_cp_ = kInf;
-
-  // One persistent streaming pool for every round of this run, recreated
-  // so tickets (and the seeds derived from them) restart at 0. Rebuilt
-  // dirty shard networks carry fresh serials each round, so an unbounded
-  // context pool would grow by one dead context per shard job; promote
-  // the unset limit to the shard count (an explicit limit is honored).
-  JobRunnerOptions ropt = opt_.runner;
-  if (ropt.context_cache_limit == 0 && part_.num_shards() > 1)
-    ropt.context_cache_limit = part_.num_shards();
-  // Worker-side transient failures (a faulted flow solve, a dead worker)
-  // ride the engine's generic retry policy — same ticket, same seed, one
-  // extra attempt — instead of the old hand-rolled resubmit; an explicit
-  // caller policy is honored. Extraction faults are coordinator-side and
-  // retried at submit time below.
-  if (ropt.retry.max_attempts <= 1) ropt.retry.max_attempts = 2;
-  stream_ = std::make_unique<StreamingRunner>(ropt);
+  out_.num_shards = part_.num_shards();
+  out_.cut_levels = part_.cut_levels;
 
   // Initial boundary budgets from the min-sized arrival profile: shard s
   // gets the target in proportion to the time depth its band adds at
@@ -344,10 +375,8 @@ void ShardReconcilePass::begin(SizingContext& ctx, PipelineState& s) {
   }
 }
 
-void ShardReconcilePass::rebudget(const SizingNetwork& net,
-                                  const TimingReport& t,
-                                  const std::vector<double>& sizes,
-                                  double target) {
+void Reconciler::rebudget(const SizingNetwork& net, const TimingReport& t,
+                          const std::vector<double>& sizes, double target) {
   const int k = part_.num_shards();
   const double cp = t.critical_path;
   const std::vector<double> usage =
@@ -424,7 +453,7 @@ void ShardReconcilePass::rebudget(const SizingNetwork& net,
   }
 }
 
-PassStatus ShardReconcilePass::run(SizingContext& ctx, PipelineState& s) {
+bool Reconciler::round(SizingContext& ctx, PipelineState& s) {
   const SizingNetwork& net = ctx.net();
   const double target = s.target_delay;
   const int k = part_.num_shards();
@@ -434,8 +463,8 @@ PassStatus ShardReconcilePass::run(SizingContext& ctx, PipelineState& s) {
   for (int sh = 0; sh < k; ++sh)
     if (shards_[static_cast<std::size_t>(sh)].dirty) dirty.push_back(sh);
   if (dirty.empty()) {
-    converged_ = true;
-    return PassStatus::kDone;
+    out_.converged = true;
+    return false;
   }
 
   // Rebuild dirty shards at the current stitched sizes and stream each
@@ -446,7 +475,7 @@ PassStatus ShardReconcilePass::run(SizingContext& ctx, PipelineState& s) {
   // dmin facts are resolved lazily on the workers, in parallel, instead
   // of serializing on this thread the way the batch API did.
   Stopwatch round_sw;
-  const int round_total = shard_jobs_ + static_cast<int>(dirty.size());
+  const int round_total = out_.shard_jobs + static_cast<int>(dirty.size());
 
   // Builds shard sh's job network at the current stitched sizes (the
   // original network for K == 1) and records the frozen boundary
@@ -485,7 +514,7 @@ PassStatus ShardReconcilePass::run(SizingContext& ctx, PipelineState& s) {
       // Extraction failed: retry once on a fresh build, right here — the
       // coordinator-side twin of the engine's worker-side retry policy.
       ++retried;
-      ++shard_retries_;
+      ++out_.shard_retries;
       try {
         job_net = rebuild(sh);
       } catch (const std::exception& e) {
@@ -505,10 +534,10 @@ PassStatus ShardReconcilePass::run(SizingContext& ctx, PipelineState& s) {
         opt_.runner.progress(r, ++progress_done_, round_total);
       };
     tickets[i] =
-        stream_->submit(*job_net, make_job(sh), std::move(on_complete));
+        stream_.submit(*job_net, make_job(sh), std::move(on_complete));
     submitted[i] = 1;
   }
-  shard_jobs_ = round_total;
+  out_.shard_jobs = round_total;
 
   // Consume in ticket order — deterministic at any worker count — and
   // stitch each solution into the global iterate as it is claimed, while
@@ -527,10 +556,10 @@ PassStatus ShardReconcilePass::run(SizingContext& ctx, PipelineState& s) {
     ShardState& st = shards_[static_cast<std::size_t>(sh)];
     JobResult r;
     if (submitted[i]) {
-      r = stream_->wait(tickets[i]);
+      r = stream_.wait(tickets[i]);
       if (r.attempts > 1) {
         ++retried;
-        shard_retries_ += r.attempts - 1;
+        out_.shard_retries += r.attempts - 1;
       }
     } else {
       r.label = strf("shard%d@r%d", sh, round_);
@@ -538,11 +567,11 @@ PassStatus ShardReconcilePass::run(SizingContext& ctx, PipelineState& s) {
     }
     if (!r.ok) {
       ++failed;
-      ++shard_failures_;
+      ++out_.shard_failures;
       if (k == 1) {
         // The passthrough job *is* the monolithic solve: nothing to fold
         // back into. Cancel any stragglers before unwinding frees state.
-        stream_->shutdown(StreamingRunner::ShutdownMode::kCancel);
+        stream_.shutdown(StreamingRunner::ShutdownMode::kCancel);
         throw EngineError(
             EngineStatus::kShardFailed,
             "shard job " + r.label + " failed after retry: " + r.error);
@@ -564,7 +593,7 @@ PassStatus ShardReconcilePass::run(SizingContext& ctx, PipelineState& s) {
       first = std::move(r);
     }
   }
-  shard_jobs_ += retried;
+  out_.shard_jobs += retried;
   const double round_seconds = round_sw.seconds();
 
   // K == 1: the single job *is* the monolithic pipeline — forward its
@@ -590,9 +619,9 @@ PassStatus ShardReconcilePass::run(SizingContext& ctx, PipelineState& s) {
     rr.shards_retried = retried;
     rr.wall_seconds = round_seconds;
     rr.spans.push_back(shards_[0].solved_span);
-    rounds_.push_back(std::move(rr));
-    converged_ = true;
-    return PassStatus::kDone;
+    out_.rounds.push_back(std::move(rr));
+    out_.converged = true;
+    return false;
   }
 
   // The surviving barrier: the stitched full-network STA and the span
@@ -613,7 +642,7 @@ PassStatus ShardReconcilePass::run(SizingContext& ctx, PipelineState& s) {
   rr.wall_seconds = round_seconds;
   for (int sh = 0; sh < k; ++sh)
     rr.spans.push_back(shards_[static_cast<std::size_t>(sh)].solved_span);
-  rounds_.push_back(std::move(rr));
+  out_.rounds.push_back(std::move(rr));
   s.iterations.push_back(IterationLog{area, cp, 0.0, 0.0});
 
   if (round_ == 1) {
@@ -648,17 +677,15 @@ PassStatus ShardReconcilePass::run(SizingContext& ctx, PipelineState& s) {
 
   rebudget(net, t, s.sizes, target);
   const double reconcile = reconcile_sw.seconds();
-  rounds_.back().reconcile_seconds = reconcile;
-  reconcile_seconds_ += reconcile;
-  bool any_dirty = false;
+  out_.rounds.back().reconcile_seconds = reconcile;
+  out_.reconcile_seconds += reconcile;
   for (const ShardState& st : shards_)
-    if (st.dirty) any_dirty = true;
-  if (!any_dirty) {
-    converged_ = true;
-    return PassStatus::kDone;
-  }
-  return PassStatus::kRepeat;
+    if (st.dirty) return true;
+  out_.converged = true;
+  return false;
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // run_sharded_solve
@@ -667,40 +694,38 @@ PassStatus ShardReconcilePass::run(SizingContext& ctx, PipelineState& s) {
 ShardSolveResult run_sharded_solve(const SizingNetwork& net,
                                    double target_delay,
                                    const ShardOptions& opt) {
+  MFT_CHECK(opt.num_shards >= 1);
+  MFT_CHECK(opt.max_rounds >= 1);
+  MFT_CHECK(net.num_sizeable() > 0);
   SizingContext ctx(net);
-  // Solve-level deadline/step budget, observed at the pipeline's
-  // round-granularity checkpoint. A disarmed token never changes results.
+  // Solve-level deadline/step budget, checked once before each round, so
+  // one virtual step is one round. A disarmed token never changes results.
   AbortToken token;
   if (opt.deadline_seconds > 0) token.arm_deadline(opt.deadline_seconds);
   if (opt.max_steps > 0) token.arm_steps(opt.max_steps);
-  ctx.set_abort(&token);
-  auto pass = std::make_unique<ShardReconcilePass>(opt);
-  ShardReconcilePass* p = pass.get();
-  Pipeline pipe;
-  pipe.add(std::move(pass), opt.max_rounds);
-  const PipelineResult pr = pipe.run(ctx, target_delay, opt.options.seed);
-  ctx.set_abort(nullptr);
 
+  Stopwatch total;
   ShardSolveResult out;
+  PipelineResult pr;
+  PipelineState& s = pr.state;
+  s.target_delay = target_delay;
+  Reconciler reconciler(ctx, opt, s, out);
+  for (int i = 0; i < opt.max_rounds; ++i)
+    if (token.step() || !reconciler.round(ctx, s)) break;
+  s.abort_status = token.tripped();
+  pr.total_seconds = total.seconds();
+
   out.result = to_minflotransit_result(ctx, pr);
-  out.num_shards = p->num_shards();
-  out.cut_levels = p->cut_levels();
-  out.rounds = p->rounds();
-  out.shard_jobs = p->shard_jobs();
-  out.reconcile_seconds = p->reconcile_seconds();
-  out.converged = p->converged();
-  out.shard_retries = p->shard_retries();
-  out.shard_failures = p->shard_failures();
-  if (pr.state.abort_status != EngineStatus::kOk) {
-    out.status = pr.state.abort_status;
-    out.degraded = pr.state.met_target;
-  } else if (p->shard_failures() > 0 && !pr.state.met_target) {
+  if (s.abort_status != EngineStatus::kOk) {
+    out.status = s.abort_status;
+    out.degraded = s.met_target;
+  } else if (out.shard_failures > 0 && !s.met_target) {
     // Feasible-or-error: persistent shard failures with no feasible
     // stitch inside the round cap are an error, not a silent miss.
     throw EngineError(EngineStatus::kShardFailed,
                       strf("%d shard job(s) failed after retry and the "
                            "sharded solve never met its target",
-                           p->shard_failures()));
+                           out.shard_failures));
   }
   return out;
 }

@@ -25,7 +25,7 @@
 //     frozen at the current stitched solution. Shard-internal CP ≤ span
 //     then bounds every global path segment, so stitched solutions meeting
 //     Σ spans = target meet the global target (conservative: path skew at
-//     the cuts is slack the reconciliation pass wins back).
+//     the cuts is slack the reconciliation rounds win back).
 //
 //  3. Each shard solve is an ordinary engine SizingJob (shard metadata on
 //     the job), submitted through the persistent StreamingRunner
@@ -44,16 +44,16 @@
 //     O(V/K) instead of O(V), which is a real algorithmic win even on one
 //     worker.
 //
-//  4. ShardReconcilePass (an OptimizerPass over the *full-network*
-//     context) stitches the shard solutions, runs one full STA, and
-//     re-budgets the cut boundaries on the stitched solution: infeasible
+//  4. run_sharded_solve's reconciliation rounds (over the *full-network*
+//     context) stitch the shard solutions, run one full STA, and
+//     re-budget the cut boundaries on the stitched solution: infeasible
 //     stitches tighten every span proportionally; feasible ones
 //     redistribute the recovered path-skew slack weighted by the shards'
 //     eq. (7) area-delay sensitivities Σ C_i = Σ x_i·y_i — the D-phase
 //     linearization applied at shard granularity. Only shards whose span
-//     or frozen boundary sizes moved are re-solved; the pass repeats until
-//     no shard is dirty (boundary slacks converged) or the round budget is
-//     exhausted.
+//     or frozen boundary sizes moved are re-solved; the rounds repeat
+//     until no shard is dirty (boundary slacks converged) or the round
+//     budget is exhausted.
 //
 // Contract: run_sharded_solve with num_shards == 1 runs the monolithic
 // pipeline on the original network object — bit-identical to
@@ -68,7 +68,6 @@
 
 #include "engine/runner.h"
 #include "engine/stream.h"
-#include "sizing/pass.h"
 
 namespace mft {
 
@@ -84,15 +83,14 @@ struct ShardOptions {
   /// Number of level-contiguous shards. 1 = monolithic passthrough;
   /// clamped to what the network's level count supports.
   int num_shards = 4;
-  /// Reconciliation rounds (outer repeat budget of ShardReconcilePass).
+  /// Cap on reconciliation rounds.
   int max_rounds = 4;
   /// Per-shard optimizer configuration (the usual pipeline options).
   MinflotransitOptions options;
   /// Wall-clock deadline / virtual-step budget for the *whole* sharded
-  /// solve (0 = none), enforced at round granularity through the pipeline
-  /// checkpoint: an expired solve stops after its current round and
-  /// reports the best stitched iterate with status/degraded set (same
-  /// contract as SizingJob's knobs).
+  /// solve (0 = none), checked once before each round: an expired solve
+  /// stops after its current round and reports the best stitched iterate
+  /// with status/degraded set (same contract as SizingJob's knobs).
   double deadline_seconds = 0.0;
   std::int64_t max_steps = 0;
   /// Worker pool for the streamed shard jobs (threads, base_seed,
@@ -190,7 +188,7 @@ struct ShardSolveResult {
   /// Total coordinator barrier time (Σ rounds' reconcile_seconds): the
   /// wave-free measurement — everything else overlaps the shard solves.
   double reconcile_seconds = 0.0;
-  bool converged = false;      ///< no shard dirty when the pass stopped
+  bool converged = false;      ///< no shard dirty when the rounds stopped
   /// Structured outcome. kOk on a clean solve; kDeadlineExpired /
   /// kStepBudget when the solve-level budget tripped (degraded set when a
   /// feasible stitch exists). Shard-job failures that recovery absorbed
@@ -199,68 +197,6 @@ struct ShardSolveResult {
   bool degraded = false;
   int shard_retries = 0;   ///< retry attempts consumed (successful or not)
   int shard_failures = 0;  ///< shard jobs whose retry also failed
-};
-
-/// The reconciliation driver as a PR-2 pipeline pass over the full-network
-/// context. begin() partitions, budgets, and brings up the persistent
-/// streaming worker pool; each run() executes one round (stream dirty
-/// shard jobs as they are rebuilt, consume + stitch in ticket order, then
-/// the STA + re-budget barrier) and returns kRepeat until the boundary
-/// budgets converge. Writes the stitched iterate/best into PipelineState,
-/// so to_minflotransit_result applies unchanged. Deterministic at any
-/// worker count: submission order and ticket-ordered
-/// consumption are pure functions of the dirty sets, never of arrival
-/// order.
-class ShardReconcilePass : public OptimizerPass {
- public:
-  explicit ShardReconcilePass(const ShardOptions& opt);
-  ~ShardReconcilePass() override;
-  const std::string& name() const override { return name_; }
-  void begin(SizingContext& ctx, PipelineState& s) override;
-  PassStatus run(SizingContext& ctx, PipelineState& s) override;
-
-  // Diagnostics harvested by run_sharded_solve after the pipeline run.
-  const std::vector<ShardRound>& rounds() const { return rounds_; }
-  const std::vector<int>& cut_levels() const { return cuts_; }
-  int num_shards() const { return part_.num_shards(); }
-  int shard_jobs() const { return shard_jobs_; }
-  double reconcile_seconds() const { return reconcile_seconds_; }
-  bool converged() const { return converged_; }
-  int shard_retries() const { return shard_retries_; }
-  int shard_failures() const { return shard_failures_; }
-
- private:
-  struct ShardState;
-  void rebudget(const SizingNetwork& net, const TimingReport& timing,
-                const std::vector<double>& sizes, double target);
-
-  std::string name_ = "shard-reconcile";
-  ShardOptions opt_;
-  ShardPartition part_;
-  std::vector<ShardState> shards_;
-  std::vector<int> cuts_;
-  std::vector<ShardRound> rounds_;
-  /// Round-1 stitch, restored into PipelineState::initial if a later
-  /// round is the first to meet the target (unmet rounds in between
-  /// overwrite `initial` with the closest attempt, which only the
-  /// never-met outcome should report).
-  TilosResult first_stitch_;
-  int round_ = 0;
-  int shard_jobs_ = 0;
-  int shard_retries_ = 0;
-  int shard_failures_ = 0;
-  int progress_done_ = 0;  ///< ShardOptions::runner.progress completion count
-  double reconcile_seconds_ = 0.0;
-  bool converged_ = false;
-  double best_unmet_cp_ = 0.0;
-  /// One persistent worker pool for all of a run's reconciliation rounds;
-  /// (re)created by begin() so every pipeline run starts at ticket 0
-  /// (deterministic seeds) with empty context pools. Declared *last*:
-  /// members destroy in reverse order, so the runner joins its workers —
-  /// who may still hold jobs pointing at shards_' networks when an
-  /// unwinding throw skips the ticket waits — before those networks are
-  /// freed.
-  std::unique_ptr<StreamingRunner> stream_;
 };
 
 /// Partition → parallel shard jobs → reconciliation, end to end, on a

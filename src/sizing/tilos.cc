@@ -28,9 +28,7 @@ TilosResult run_tilos(const SizingNetwork& net, double target_delay,
     }
   }
   const std::int64_t max_bumps =
-      opt.max_bumps > 0 ? opt.max_bumps
-                        : 4000 * static_cast<std::int64_t>(
-                                     std::max(1, net.num_sizeable()));
+      kMaxBumpsPerSizeable * std::max(1, net.num_sizeable());
 
   // All per-bump state is kept in sweep-position order so the candidate
   // evaluation streams the plan's flat reverse-load CSR: the STA scratch's

@@ -15,10 +15,12 @@
 
 namespace mft {
 
+/// Safety cap on bump passes: run_tilos stops after
+/// kMaxBumpsPerSizeable * max(1, num_sizeable) bumps.
+constexpr std::int64_t kMaxBumpsPerSizeable = 4000;
+
 struct TilosOptions {
   double bumpsize = 1.1;  ///< paper §3 uses 1.1
-  /// Safety cap on bump passes; 0 picks a generous default.
-  std::int64_t max_bumps = 0;
   /// Optional ECO size pins (id-indexed, entry > 0 = hold that vertex at
   /// that size): pinned vertices start at the pinned size and are never
   /// bump candidates. Not owned; may be nullptr.

@@ -5,15 +5,18 @@
 //    resize is a fixpoint whose sizes_hash equals the base result's hash
 //    bit-for-bit; a load-edit resize re-solves and meets timing; release
 //    ends the session and later resizes are refused; malformed delta
-//    strings are refused and leave the session as it was.
+//    strings are refused and leave the session as it was; shutdown
+//    reports no outstanding engine jobs.
 //  - Ordering: a resize or a release racing the still-queued base job is
 //    rejected ("not ready") and journals nothing, so a crash at that point
 //    still replays and answers the base; both succeed once the base result
 //    lands.
-//  - Durability: a simulated crash (terminal resize results stripped from
-//    the journal) re-runs the base job and re-applies the resize chain on
-//    replay, reproducing bit-identical hashes; a second restart replays
-//    the chain silently (results already journaled, nothing re-emitted).
+//  - Durability: journal rotation drops a failed resize whole, so no
+//    restart re-answers it; a simulated crash (terminal resize results
+//    stripped from the journal) re-runs the base job and re-applies the
+//    resize chain on replay, reproducing bit-identical hashes; a second
+//    restart replays the chain silently (results already journaled,
+//    nothing re-emitted).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -186,6 +189,13 @@ TEST(EcoSession, RoundTripFixpointLoadEditAndRelease) {
   ASSERT_FALSE(late.empty());
   EXPECT_EQ(raw_field(late, "status"), "invalid_input");
   EXPECT_NE(late.find("unknown session"), std::string::npos);
+
+  // Shutdown counts the engine jobs still in flight: none. The resize
+  // answers are not jobs and must not count against the one base job.
+  daemon.handle_line("{\"op\":\"shutdown\"}");
+  const std::string shutdown = line_for(cap.snapshot(), "shutdown", "");
+  ASSERT_FALSE(shutdown.empty());
+  EXPECT_EQ(raw_field(shutdown, "outstanding"), "0") << shutdown;
 }
 
 TEST(EcoSession, ResizeBeforeTheBaseResultIsRejectedThenWorks) {
@@ -259,6 +269,52 @@ TEST(EcoSession, ResizeBeforeTheBaseResultIsRejectedThenWorks) {
   ASSERT_FALSE(base_hash.empty());
   EXPECT_EQ(hash_for(replayed.snapshot(), "base"), base_hash);
   EXPECT_EQ(revived.stats().sessions, 1u);
+}
+
+TEST(EcoSession, JournalRotationDropsAFailedResize) {
+  const std::string path = temp_path("eco_rotate.mftj");
+  DaemonOptions opt;
+  opt.engine.threads = 1;
+  opt.journal_path = path;
+  opt.journal_compact_bytes = 1;  // rotate after every terminal record
+
+  const std::string gate = std::to_string(c17_gate_vertex());
+  Capture first;
+  std::string bad_rid;
+  {
+    SizingDaemon d(opt, first.emit());
+    d.handle_line(session_submit("base", "c17", 0.8));
+    d.drain();
+    const std::string accepted = line_for(first.snapshot(), "accepted", "base");
+    const std::string sid = raw_field(accepted, "session");
+    ASSERT_FALSE(sid.empty());
+    // rids are handed out in request order: the failed resize takes the
+    // one after its base's.
+    bad_rid = std::to_string(std::stoull(raw_field(accepted, "rid")) + 1);
+    d.handle_line(resize_line("bad", sid, ",\"pins\":\"" + gate + ":1e9\""));
+    d.handle_line(resize_line("good", sid, ",\"loads\":\"" + gate + ":0.05\""));
+  }
+  const std::vector<std::string> lines = first.snapshot();
+  EXPECT_EQ(raw_field(line_for(lines, "result", "bad"), "status"),
+            "invalid_input");
+  EXPECT_EQ(raw_field(line_for(lines, "result", "good"), "ok"), "true");
+
+  // A failed resize changed nothing, so rotation drops its write-ahead
+  // record with its answer: no restart re-applies or re-answers it.
+  for (int restart = 1; restart <= 2; ++restart) {
+    SCOPED_TRACE(restart);
+    Capture log;
+    {
+      SizingDaemon d(opt, log.emit());
+      d.drain();
+      EXPECT_EQ(d.stats().sessions, 1u);
+    }
+    EXPECT_EQ(line_for(log.snapshot(), "result", "bad"), "");
+    for (const std::string& rec : Journal::replay(path)) {
+      EXPECT_NE(raw_field(rec, "rid"), bad_rid) << rec;
+      EXPECT_NE(raw_field(rec, "id"), "bad") << rec;
+    }
+  }
 }
 
 TEST(EcoSession, ResizeChainSurvivesACrashWithBitIdenticalHashes) {

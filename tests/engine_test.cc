@@ -1,6 +1,6 @@
 // Tests for the sizing engine's three layers:
 //
-//  - Pass layer: the default pipeline must reproduce the pre-refactor
+//  - Pass layer: Pipeline::run must reproduce the pre-refactor
 //    run_minflotransit loop *bit-identically*. The reference here is a
 //    verbatim copy of the legacy driver (legacy_minflotransit below),
 //    frozen at the PR that introduced the pipeline.
@@ -30,9 +30,9 @@ namespace {
 // show up as a size/area/delay mismatch against this. One deliberate
 // amendment since the original freeze: the W-phase calls warm-start from
 // the current iterate, mirroring the same intentional algorithm change in
-// WPhasePass/DPhasePass (identical results on triangular/gate networks,
-// fewer sweeps — and a slightly different, equally-converged trajectory —
-// on mutually-loading transistor networks).
+// Pipeline::run's W-phase step and refine_step (identical results on
+// triangular/gate networks, fewer sweeps — and a slightly different,
+// equally-converged trajectory — on mutually-loading transistor networks).
 // ---------------------------------------------------------------------------
 MinflotransitResult legacy_minflotransit(const SizingNetwork& net,
                                          double target_delay,
@@ -222,12 +222,12 @@ TEST(Pipeline, ExplicitPipelineMatchesWrapperAndReportsPassStats) {
       run_minflotransit(lc.net, 0.5 * dmin);
 
   SizingContext ctx(lc.net);
-  const Pipeline pipeline = make_minflotransit_pipeline();
+  const Pipeline pipeline;
   const PipelineResult pr = pipeline.run(ctx, 0.5 * dmin);
   const MinflotransitResult via_pipeline = to_minflotransit_result(ctx, pr);
   expect_bit_identical(via_wrapper, via_pipeline);
 
-  // Per-pass instrumentation: one entry per configured pass, in order.
+  // Per-step instrumentation: one entry per step of the loop, in order.
   ASSERT_EQ(pr.pass_stats.size(), 3u);
   EXPECT_EQ(pr.pass_stats[0].name, "tilos");
   EXPECT_EQ(pr.pass_stats[1].name, "wphase");
@@ -240,12 +240,12 @@ TEST(Pipeline, ExplicitPipelineMatchesWrapperAndReportsPassStats) {
 }
 
 TEST(Pipeline, ReusablePipelineObjectAcrossRuns) {
-  // A Pipeline holds no per-run state (DPhasePass::begin re-arms the trust
+  // A Pipeline holds no per-run state (begin_refinement re-arms the trust
   // region), so one object must serve many targets with clean results.
   Netlist nl = make_ripple_adder(6);
   LoweredCircuit lc = lower(nl);
   const double dmin = min_sized_delay(lc.net);
-  const Pipeline pipeline = make_minflotransit_pipeline();
+  const Pipeline pipeline;
   SizingContext ctx(lc.net);
   for (double ratio : {0.7, 0.5, 0.7}) {
     const double target = ratio * dmin;
@@ -540,11 +540,11 @@ TEST(Engine, ExplicitJobSeedWinsOverDerivedSeed) {
 
 TEST(Pipeline, SeedReachesPipelineState) {
   // The engine threads the resolved job seed through
-  // MinflotransitOptions::seed; the pipeline must surface it to passes.
+  // MinflotransitOptions::seed; the pipeline must surface it to its steps.
   Netlist nl = make_c17();
   LoweredCircuit lc = lower(nl);
   SizingContext ctx(lc.net);
-  const Pipeline pipeline = make_minflotransit_pipeline();
+  const Pipeline pipeline;
   const PipelineResult r =
       pipeline.run(ctx, 0.8 * min_sized_delay(lc.net), 987654321u);
   EXPECT_EQ(r.state.seed, 987654321u);

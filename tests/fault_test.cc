@@ -487,11 +487,14 @@ TEST_F(FaultTest, DaemonParseAndAcceptFaultsYieldStructuredErrorsAndSurvive) {
         "{\"op\":\"submit\",\"id\":\"clean\",\"circuit\":\"c17\","
         "\"ratio\":0.8}");
     daemon.drain();
+    // Snapshot the stats before taking the capture lock: the daemon emits
+    // into that lock while holding its own, so the reverse order here
+    // would invert the two.
+    const DaemonStats s = daemon.stats();
     std::lock_guard<std::mutex> lock(mu);
     ASSERT_EQ(lines.size(), 2u);
     EXPECT_NE(lines[0].find("\"event\":\"accepted\""), std::string::npos);
     EXPECT_NE(lines[1].find("\"status\":\"ok\""), std::string::npos);
-    const DaemonStats s = daemon.stats();
     EXPECT_EQ(s.requests, 2u);
     EXPECT_EQ(s.invalid, 1u);
     EXPECT_EQ(s.admitted, 1u);

@@ -346,9 +346,7 @@ TilosResult reference_tilos(const SizingNetwork& net, double target_delay,
     }
   }
   const std::int64_t max_bumps =
-      opt.max_bumps > 0 ? opt.max_bumps
-                        : 4000 * static_cast<std::int64_t>(
-                                     std::max(1, net.num_sizeable()));
+      kMaxBumpsPerSizeable * std::max(1, net.num_sizeable());
 
   // All per-bump state is kept in sweep-position order so the candidate
   // evaluation streams the plan's flat reverse-load CSR: sizes_pos mirrors
@@ -492,32 +490,33 @@ TEST(TilosReferenceSlow, MatchesOnLargestCircuits) {
 // The D/W passes run one by one on two contexts from one TILOS seed. The
 // warm one runs as the pipeline does, each D-phase solve starting from the
 // previous optimal basis; the cold one forgets the basis before every
-// DPhasePass::run. Canonical duals make every iterate bit-identical, and the
+// refine_step. Canonical duals make every iterate bit-identical, and the
 // warm run must pivot less.
 void expect_warm_dw_passes_match_cold(const Netlist& nl, double ratio) {
   const LoweredCircuit lc = lower(nl);
   const MinflotransitOptions opt;
   SizingContext warm(lc.net);
   SizingContext cold(lc.net);
-  PipelineState ws;
-  ws.target_delay = ratio * min_sized_delay(lc.net);
-  ASSERT_EQ(TilosPass(opt.tilos).run(warm, ws), PassStatus::kDone);
-  ASSERT_EQ(WPhasePass().run(warm, ws), PassStatus::kDone);
+  MinflotransitOptions seed_only = opt;
+  seed_only.max_iterations = 0;
+  PipelineState ws = Pipeline(seed_only)
+                         .run(warm, ratio * min_sized_delay(lc.net))
+                         .state;
+  ASSERT_TRUE(ws.met_target);
   PipelineState cs = ws;
-  DPhasePass dphase(opt.dphase);
-  dphase.begin(warm, ws);
-  dphase.begin(cold, cs);
+  begin_refinement(opt.dphase, ws);
+  begin_refinement(opt.dphase, cs);
   int passes = 0;
   for (; passes < opt.max_iterations; ++passes) {
     SCOPED_TRACE("D/W pass " + std::to_string(passes));
-    const PassStatus w = dphase.run(warm, ws);
+    const bool w = refine_step(warm, opt.dphase, ws);
     cold.dphase().flow.mcf.forget_basis();
-    const PassStatus c = dphase.run(cold, cs);
+    const bool c = refine_step(cold, opt.dphase, cs);
     ASSERT_EQ(w, c);
     ASSERT_EQ(ws.sizes, cs.sizes);
     ASSERT_EQ(ws.best_area, cs.best_area);
     ASSERT_EQ(ws.beta, cs.beta);
-    if (w != PassStatus::kRepeat) break;
+    if (!w) break;
   }
   EXPECT_GE(passes, 2);
   EXPECT_EQ(ws.best_sizes, cs.best_sizes);
