@@ -12,15 +12,17 @@
 // sends {"op":"shutdown"} (or, in stdio mode, at EOF).
 //
 // --journal PATH makes accepted work crash-durable: every admitted
-// submit is written ahead to an fsync'd journal and every terminal
-// result is journaled after it is emitted, so restarting mftd on the
-// same path replays exactly the unfinished requests (same journaled
-// seeds, bit-identical sizes_hash) before serving new ones. ECO
-// sessions ("session":true submits plus "resize"/"release" ops) are
-// journaled too: a restart re-runs the session base and re-applies the
-// resize chain. --journal-compact-bytes N bounds the file: once it
-// grows past N bytes the daemon rewrites it down to its live set (the
-// config snapshot plus unfinished work and open sessions).
+// submit is written ahead to an fsync'd journal (or refused when it
+// cannot be) and every terminal result is journaled after it is emitted,
+// so restarting mftd on the same path replays exactly the unfinished
+// requests (same journaled seeds, bit-identical sizes_hash) before
+// serving new ones. ECO sessions ("session":true submits plus
+// "resize"/"release" ops) are journaled too: a restart re-runs the
+// session base and re-applies the resize chain. --journal-compact-bytes N
+// bounds the file: once it grows past N bytes the daemon rewrites it
+// down to its live set (the config snapshot plus unfinished work and
+// open sessions). The journal's directory must exist: a journal mftd
+// cannot open is reported as "mftd: error: ..." with exit code 2.
 //
 // Shutdown discipline: SIGPIPE is ignored (a client that closes its pipe
 // mid-burst must not kill the daemon — pending results just drain to a
@@ -38,8 +40,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <iostream>
+#include <memory>
 #include <string>
+#include <utility>
 
 #ifndef _WIN32
 #include <sys/socket.h>
@@ -150,18 +155,32 @@ Flags parse(int argc, char** argv) {
   return f;
 }
 
+/// Constructs the daemon, replaying its journal. A journal it cannot open
+/// or compact (its directory is missing, say) is a startup error: the
+/// message goes to stderr and the caller exits 2.
+std::unique_ptr<mft::SizingDaemon> start_daemon(const mft::DaemonOptions& opt,
+                                                mft::SizingDaemon::Emit emit) {
+  try {
+    return std::make_unique<mft::SizingDaemon>(opt, std::move(emit));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "mftd: error: %s\n", e.what());
+    return nullptr;
+  }
+}
+
 int serve_stdio(const mft::DaemonOptions& opt) {
-  mft::SizingDaemon daemon(opt, [](const std::string& line) {
+  const auto daemon = start_daemon(opt, [](const std::string& line) {
     std::fputs(line.c_str(), stdout);
     std::fputc('\n', stdout);
     std::fflush(stdout);
   });
+  if (daemon == nullptr) return 2;
 #ifndef _WIN32
   // Raw read loop (not iostreams) so an un-restarted signal surfaces as
   // EINTR here and the stop flag is honored mid-blocking-read.
   std::string buf;
   char chunk[4096];
-  while (!daemon.shutdown_requested() && g_stop == 0) {
+  while (!daemon->shutdown_requested() && g_stop == 0) {
     const ssize_t n = ::read(STDIN_FILENO, chunk, sizeof chunk);
     if (n < 0) {
       if (errno == EINTR) continue;  // loop re-checks the stop flag
@@ -170,22 +189,22 @@ int serve_stdio(const mft::DaemonOptions& opt) {
     if (n == 0) break;  // EOF
     buf.append(chunk, static_cast<std::size_t>(n));
     std::size_t nl;
-    while (!daemon.shutdown_requested() &&
+    while (!daemon->shutdown_requested() &&
            (nl = buf.find('\n')) != std::string::npos) {
-      daemon.handle_line(buf.substr(0, nl));
+      daemon->handle_line(buf.substr(0, nl));
       buf.erase(0, nl + 1);
     }
   }
-  if (g_stop == 0 && !daemon.shutdown_requested() && !buf.empty())
-    daemon.handle_line(buf);  // unterminated final line at EOF
+  if (g_stop == 0 && !daemon->shutdown_requested() && !buf.empty())
+    daemon->handle_line(buf);  // unterminated final line at EOF
 #else
   std::string line;
-  while (!daemon.shutdown_requested() && std::getline(std::cin, line))
-    daemon.handle_line(line);
+  while (!daemon->shutdown_requested() && std::getline(std::cin, line))
+    daemon->handle_line(line);
 #endif
   if (g_stop != 0)
     std::fprintf(stderr, "mftd: stop signal received, draining\n");
-  daemon.drain();
+  daemon->drain();
   return 0;  // clean stop — EOF, shutdown op, or drained signal alike
 }
 
@@ -211,7 +230,7 @@ int serve_socket(const mft::DaemonOptions& opt, const std::string& path) {
     return 1;
   }
   int client = -1;
-  mft::SizingDaemon daemon(opt, [&client](const std::string& line) {
+  const auto daemon = start_daemon(opt, [&client](const std::string& line) {
     if (client < 0) return;
     std::string out = line;
     out.push_back('\n');
@@ -222,10 +241,15 @@ int serve_socket(const mft::DaemonOptions& opt, const std::string& path) {
       off += static_cast<std::size_t>(n);
     }
   });
+  if (daemon == nullptr) {
+    ::close(listener);
+    ::unlink(path.c_str());
+    return 2;
+  }
   // One client at a time: accept, serve its lines, loop on disconnect
   // until a client asks for shutdown or a stop signal arrives.
   std::string buf;
-  while (!daemon.shutdown_requested() && g_stop == 0) {
+  while (!daemon->shutdown_requested() && g_stop == 0) {
     client = ::accept(listener, nullptr, nullptr);
     if (client < 0) {
       if (errno == EINTR) continue;  // loop re-checks the stop flag
@@ -233,24 +257,24 @@ int serve_socket(const mft::DaemonOptions& opt, const std::string& path) {
     }
     buf.clear();
     char chunk[4096];
-    while (!daemon.shutdown_requested() && g_stop == 0) {
+    while (!daemon->shutdown_requested() && g_stop == 0) {
       const ssize_t n = ::read(client, chunk, sizeof(chunk));
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) break;
       buf.append(chunk, static_cast<std::size_t>(n));
       std::size_t nl;
       while ((nl = buf.find('\n')) != std::string::npos) {
-        daemon.handle_line(buf.substr(0, nl));
+        daemon->handle_line(buf.substr(0, nl));
         buf.erase(0, nl + 1);
       }
     }
-    daemon.drain();  // flush results to this client before it goes away
+    daemon->drain();  // flush results to this client before it goes away
     ::close(client);
     client = -1;
   }
   if (g_stop != 0)
     std::fprintf(stderr, "mftd: stop signal received, draining\n");
-  daemon.drain();
+  daemon->drain();
   ::close(listener);
   ::unlink(path.c_str());
   return 0;

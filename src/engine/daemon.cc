@@ -9,6 +9,7 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "gen/circuit_name.h"
@@ -212,21 +213,28 @@ double get_number(const JsonObj& obj, const char* key, double fallback) {
   return it->second.num;
 }
 
-/// Reads field `key` as an integer of type T exactly (std::from_chars on
-/// the number's token text, never through a double). False, with `out`
-/// untouched, when the key is absent or is not an integer in T's range: a
-/// string, a fraction or exponent, a sign T cannot hold, too many digits.
+/// Parses all of `text` as an integer of type T with std::from_chars.
+/// False, with `out` untouched, for anything else: a fraction or exponent,
+/// a sign T cannot hold, a leading space or '+', trailing bytes, too many
+/// digits.
+template <typename T>
+bool parse_whole(std::string_view text, T& out) {
+  T v{};
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc() || end != text.data() + text.size()) return false;
+  out = v;
+  return true;
+}
+
+/// Reads field `key` as an integer of type T exactly (from the number's
+/// token text, never through a double). False, with `out` untouched, when
+/// the key is absent, is not a number, or is not an integer in T's range.
 template <typename T>
 bool find_integer(const JsonObj& obj, const char* key, T& out) {
   auto it = obj.find(key);
-  if (it == obj.end() || it->second.kind != JsonVal::kNumber) return false;
-  const char* first = it->second.str.data();
-  const char* last = first + it->second.str.size();
-  T v{};
-  const auto [end, ec] = std::from_chars(first, last, v);
-  if (ec != std::errc() || end != last) return false;
-  out = v;
-  return true;
+  return it != obj.end() && it->second.kind == JsonVal::kNumber &&
+         parse_whole(it->second.str, out);
 }
 
 /// Integer request field: `fallback` when absent; otherwise it must be an
@@ -378,17 +386,12 @@ struct SizingDaemon::ParsedResize {
 /// ResizeSession itself is only ever touched from the request thread, and
 /// only once `ready` was observed under the lock.
 struct SizingDaemon::EcoSession {
-  std::uint64_t sid = 0;
+  explicit EcoSession(std::string name) : circuit(std::move(name)) {}
   std::string circuit;
-  std::uint64_t base_rid = 0;  ///< journal rid of the base submit
-  bool durable = false;        ///< base submit was journaled
   bool ready = false;   ///< base result landed ok; base_sizes/target valid
   bool failed = false;  ///< base job failed; resizes are refused
   std::vector<double> base_sizes;
   double base_target = 0.0;
-  /// Journal rids of this session's records (base + applied resizes);
-  /// their live-set entries are dropped when the session is released.
-  std::vector<std::uint64_t> rids;
   /// Built lazily at the first resize (request thread only).
   std::unique_ptr<ResizeSession> rs;
 };
@@ -447,13 +450,11 @@ bool parse_vertex_list(const std::string& s,
     // The whole id, parsed into NodeId's range (never narrowed from a
     // wider integer), and a finite value.
     NodeId v = 0;
-    const char* first = item.c_str();
-    const auto [idend, ec] = std::from_chars(first, first + colon, v);
-    if (ec != std::errc() || idend != first + colon || v < 0) {
+    if (!parse_whole(std::string_view(item).substr(0, colon), v) || v < 0) {
       err = strf("bad vertex in '%s'", item.c_str());
       return false;
     }
-    const char* vstart = first + colon + 1;
+    const char* vstart = item.c_str() + colon + 1;
     char* endp = nullptr;
     const double val = std::strtod(vstart, &endp);
     if (endp == vstart || *endp != '\0' || !std::isfinite(val)) {
@@ -681,41 +682,26 @@ void SizingDaemon::do_submit(const ParsedSubmit& req) {
   }
   // Durability, write-ahead: resolve the seed the engine would pick (so
   // the journaled record pins the exact solve) and fsync the submit
-  // record before the engine can see the job. A failed append refuses the
-  // submit — accepting work we cannot make durable would silently drop
-  // the crash-recovery contract.
-  std::uint64_t rid = 0;
+  // record before the engine can see the job.
   SizingJob job = req.job;
-  const bool durable = journal_.is_open();
   const std::uint64_t sid = req.session ? next_session_id_++ : 0;
-  if (durable) {
+  std::uint64_t rid = 0;
+  if (journaled()) {
     rid = next_rid_++;
     if (job.seed == 0) job.seed = derive_job_seed(opt_.engine.base_seed, rid);
-    const std::string rec = submit_record(rid, id, req.circuit, job, sid);
-    try {
-      journal_.append(rec);
-    } catch (const std::exception& e) {
-      ++journal_errors_;
-      respond_error_locked(id, EngineStatus::kInternal,
-                           strf("journal append failed: %s", e.what()));
+    if (!journal_ahead_locked(id, LiveSet::Kind::kSubmit, rid, sid,
+                              submit_record(rid, id, req.circuit, job, sid)))
       return;
-    }
-    live_records_[{rid, 0}] = rec;
   }
-  if (sid != 0) {
-    auto es = std::make_unique<EcoSession>();
-    es->sid = sid;
-    es->circuit = req.circuit;
-    es->base_rid = rid;
-    es->durable = durable;
-    if (durable) es->rids.push_back(rid);
-    sessions_[sid] = std::move(es);
-  }
-  // Submit while still holding mu_: the result callback also takes mu_,
-  // so the "accepted" ack below always precedes the job's result event
-  // even if a worker finishes it instantly. (Lock order is daemon mu_ ->
-  // runner internals; callbacks take them in the compatible order
-  // callback_mu_ -> daemon mu_.)
+  if (sid != 0) sessions_[sid] = std::make_unique<EcoSession>(req.circuit);
+  admit_locked(net, job, id, rid, sid);
+}
+
+void SizingDaemon::admit_locked(const SizingNetwork& net, const SizingJob& job,
+                                const std::string& id, std::uint64_t rid,
+                                std::uint64_t sid) {
+  // Lock order is daemon mu_ -> runner internals; result callbacks take
+  // them in the compatible order callback_mu_ -> daemon mu_.
   const JobTicket t = runner_->submit_detached(
       net, job,
       [this, id, rid, sid](const JobResult& r) { on_result(id, rid, sid, r); });
@@ -723,7 +709,7 @@ void SizingDaemon::do_submit(const ParsedSubmit& req) {
   JsonLine out;
   out.str("event", "accepted");
   if (!id.empty()) out.str("id", id);
-  if (durable) out.uinteger("rid", rid);
+  if (journaled()) out.uinteger("rid", rid);
   if (sid != 0) out.uinteger("session", sid);
   emit_locked(out.uinteger("ticket", t).done());
 }
@@ -755,11 +741,10 @@ void SizingDaemon::on_result(const std::string& id, std::uint64_t rid,
       }
     }
   }
-  const bool durable = journal_.is_open();
   JsonLine out;
   out.str("event", "result");
   if (!id.empty()) out.str("id", id);
-  if (durable) out.uinteger("rid", rid);
+  if (journaled()) out.uinteger("rid", rid);
   if (sid != 0) out.uinteger("session", sid);
   out.integer("ticket", r.job)
       .str("status", to_string(r.status))
@@ -787,32 +772,106 @@ void SizingDaemon::on_result(const std::string& id, std::uint64_t rid,
   // A *successful* session base deliberately journals no result record:
   // its sizes are not in the journal, so replay must re-run it (same
   // seed, bit-identical by the determinism contract) to rebuild the
-  // session state the journaled resize chain re-applies against. Its
-  // submit record stays live until the session is released. A failed
-  // session base is terminal like any other job: journaled finished,
-  // dropped from the live set — replay then drops the dead session whole.
-  if (durable && (sid == 0 || !r.ok)) {
+  // session state the journaled resize chain re-applies against.
+  if (journaled() && (sid == 0 || !r.ok)) {
     JsonLine rec;
     rec.str("type", "result")
         .uinteger("rid", rid)
         .str("status", to_string(r.status))
         .boolean("ok", r.ok);
     if (r.ok) rec.uinteger("sizes_hash", sizes_hash(r.result.sizes));
-    journal_append_locked(rec.done());
-    live_records_.erase({rid, 0});
-    maybe_compact_locked();
+    journal_terminal_locked(LiveSet::Kind::kResult, rid, sid, r.ok,
+                            rec.done());
   }
 }
 
-void SizingDaemon::journal_append_locked(const std::string& payload) {
-  if (!journal_.is_open()) return;
+bool SizingDaemon::journal_ahead_locked(const std::string& id,
+                                        LiveSet::Kind kind, std::uint64_t rid,
+                                        std::uint64_t sid,
+                                        const std::string& rec) {
   try {
-    journal_.append(payload);
+    journal_.append(rec);
+  } catch (const std::exception& e) {
+    // Accepting work we cannot make durable would silently drop the
+    // crash-recovery contract.
+    ++journal_errors_;
+    respond_error_locked(id, EngineStatus::kInternal,
+                         strf("journal append failed: %s", e.what()));
+    return false;
+  }
+  live_.apply(kind, rid, sid, true, rec);
+  return true;
+}
+
+void SizingDaemon::journal_terminal_locked(LiveSet::Kind kind,
+                                           std::uint64_t rid,
+                                           std::uint64_t sid, bool ok,
+                                           const std::string& rec) {
+  try {
+    journal_.append(rec);
   } catch (const std::exception&) {
-    // A result record that fails to persist re-runs the request on the
+    // A terminal record that fails to persist re-runs its request on the
     // next replay — redundant work, not lost work. Count it and serve on.
     ++journal_errors_;
   }
+  live_.apply(kind, rid, sid, ok, rec);
+  maybe_compact_locked();
+}
+
+bool SizingDaemon::LiveSet::apply(Kind kind, std::uint64_t rid,
+                                  std::uint64_t sid, bool ok,
+                                  const std::string& payload) {
+  switch (kind) {
+    case Kind::kSubmit:
+      if (sid != 0) sessions_[sid].push_back(rid);
+      entries_[rid] = Entry{sid, false, payload, {}};
+      return true;
+    case Kind::kResize: {
+      const auto s = sessions_.find(sid);
+      if (s == sessions_.end()) return false;
+      s->second.push_back(rid);
+      entries_[rid] = Entry{sid, true, payload, {}};
+      return true;
+    }
+    case Kind::kResult: {
+      const auto it = entries_.find(rid);
+      if (it == entries_.end()) return false;
+      Entry& e = it->second;
+      if (e.resize && ok)
+        e.result = payload;
+      else if (e.resize || e.sid == 0)
+        entries_.erase(it);
+      else  // only a failed base journals a result
+        drop_session(e.sid);
+      return true;
+    }
+    case Kind::kRelease:
+      return drop_session(sid);
+  }
+  return false;
+}
+
+bool SizingDaemon::LiveSet::drop_session(std::uint64_t sid) {
+  const auto s = sessions_.find(sid);
+  if (s == sessions_.end()) return false;
+  for (const std::uint64_t rid : s->second) {
+    const auto it = entries_.find(rid);
+    if (it != entries_.end() && it->second.sid == sid) entries_.erase(it);
+  }
+  sessions_.erase(s);
+  return true;
+}
+
+std::vector<std::string> SizingDaemon::LiveSet::records(
+    std::string head) const {
+  std::vector<std::string> out;
+  out.reserve(2 * entries_.size() + 1);
+  out.push_back(std::move(head));
+  for (const auto& [rid, e] : entries_) {
+    out.push_back(e.request);
+    if (!e.result.empty()) out.push_back(e.result);
+  }
+  return out;
 }
 
 void SizingDaemon::do_resize(const ParsedResize& req) {
@@ -822,7 +881,6 @@ void SizingDaemon::do_resize(const ParsedResize& req) {
       delta_from_strings(req.target, req.loads, req.pins);
   EcoSession* es = nullptr;
   std::uint64_t rid = 0;
-  bool durable = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = sessions_.find(req.sid);
@@ -841,23 +899,14 @@ void SizingDaemon::do_resize(const ParsedResize& req) {
           strf("session %llu not ready: base job still running, retry "
                "after its result",
                static_cast<unsigned long long>(req.sid)));
-    durable = journal_.is_open() && es->durable;
-    if (durable) {
+    if (journaled()) {
       // Write-ahead, like a submit: a crash after this record re-applies
       // the delta on replay (and re-emits, since no result record landed).
       rid = next_rid_++;
-      const std::string rec = resize_record(rid, req.sid, req.id, req.target,
-                                            req.loads, req.pins);
-      try {
-        journal_.append(rec);
-      } catch (const std::exception& e) {
-        ++journal_errors_;
-        respond_error_locked(req.id, EngineStatus::kInternal,
-                             strf("journal append failed: %s", e.what()));
+      if (!journal_ahead_locked(req.id, LiveSet::Kind::kResize, rid, req.sid,
+                                resize_record(rid, req.sid, req.id, req.target,
+                                              req.loads, req.pins)))
         return;
-      }
-      live_records_[{rid, 0}] = rec;
-      es->rids.push_back(rid);
     }
   }
   // The solve runs on the request thread outside mu_ — stats/cancel stay
@@ -865,7 +914,7 @@ void SizingDaemon::do_resize(const ParsedResize& req) {
   // callbacks from workers must not block behind a multi-millisecond
   // resize. Once `ready`, nothing else touches the session's solver.
   const ResizeResult rr = apply_resize(*es, delta);
-  finish_resize(req.id, req.sid, rid, durable, rr);
+  finish_resize(req.id, req.sid, rid, rr);
 }
 
 ResizeResult SizingDaemon::apply_resize(EcoSession& es,
@@ -882,8 +931,7 @@ ResizeResult SizingDaemon::apply_resize(EcoSession& es,
 }
 
 void SizingDaemon::finish_resize(const std::string& id, std::uint64_t sid,
-                                 std::uint64_t rid, bool durable,
-                                 const ResizeResult& rr) {
+                                 std::uint64_t rid, const ResizeResult& rr) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!rr.ok) {
     respond_error_locked(id, EngineStatus::kInvalidInput, rr.error);
@@ -893,7 +941,7 @@ void SizingDaemon::finish_resize(const std::string& id, std::uint64_t sid,
     JsonLine out;
     out.str("event", "result");
     if (!id.empty()) out.str("id", id);
-    if (durable) out.uinteger("rid", rid);
+    if (journaled()) out.uinteger("rid", rid);
     out.uinteger("session", sid)
         .integer("ticket", -1)
         .str("status", "ok")
@@ -910,7 +958,7 @@ void SizingDaemon::finish_resize(const std::string& id, std::uint64_t sid,
         .uinteger("sizes_hash", sizes_hash(rr.sizes));
     emit_locked(out.done());
   }
-  if (durable) {
+  if (journaled()) {
     // An invalid delta is terminal too: journaling its failed result keeps
     // replay from re-applying (and re-answering) it.
     JsonLine rec;
@@ -923,16 +971,8 @@ void SizingDaemon::finish_resize(const std::string& id, std::uint64_t sid,
           .uinteger("sizes_hash", sizes_hash(rr.sizes));
     else
       rec.str("error", rr.error);
-    const std::string payload = rec.done();
-    journal_append_locked(payload);
-    // A failed resize never changed state, so rotation drops it whole, as
-    // replay does: keeping its request without its answer would re-apply
-    // and re-answer it on every restart.
-    if (rr.ok)
-      live_records_[{rid, 1}] = payload;
-    else
-      live_records_.erase({rid, 0});
-    maybe_compact_locked();
+    journal_terminal_locked(LiveSet::Kind::kResult, rid, sid, rr.ok,
+                            rec.done());
   }
 }
 
@@ -953,33 +993,30 @@ void SizingDaemon::do_release(const std::string& id, std::uint64_t sid) {
         strf("session %llu not ready: base job still running, retry after "
              "its result",
              static_cast<unsigned long long>(sid)));
-  if (journal_.is_open() && es.durable) {
+  if (journaled()) {
     // The release record makes the drop durable before the session's live
     // records leave the compaction set: replay either sees the release
     // (and skips the session) or re-runs it whole — never half of it.
-    journal_append_locked(JsonLine()
-                              .str("type", "release")
-                              .uinteger("rid", next_rid_++)
-                              .uinteger("session", sid)
-                              .done());
-    for (const std::uint64_t r : es.rids) {
-      live_records_.erase({r, 0});
-      live_records_.erase({r, 1});
-    }
+    const std::uint64_t rid = next_rid_++;
+    journal_terminal_locked(LiveSet::Kind::kRelease, rid, sid, true,
+                            JsonLine()
+                                .str("type", "release")
+                                .uinteger("rid", rid)
+                                .uinteger("session", sid)
+                                .done());
   }
   sessions_.erase(it);
   JsonLine out;
   out.str("event", "release");
   if (!id.empty()) out.str("id", id);
   emit_locked(out.uinteger("session", sid).boolean("ok", true).done());
-  maybe_compact_locked();
 }
 
 std::string SizingDaemon::config_record() const {
   // Everything a bit-reproducible replay depends on. threads is advisory
   // (worker count never changes results) and deliberately absent.
-  // base_seed rides as a string: the flat parser reads numbers as
-  // doubles, which cannot hold all 64 seed bits.
+  // base_seed rides as a decimal string because every existing journal
+  // wrote it that way; the gate in recover_from_journal parses it whole.
   return JsonLine()
       .str("type", "config")
       .integer("version", 1)
@@ -989,23 +1026,16 @@ std::string SizingDaemon::config_record() const {
 }
 
 void SizingDaemon::maybe_compact_locked() {
+  // A closed journal reads 0 bytes, so it never rotates.
   if (opt_.journal_compact_bytes == 0 || compaction_disabled_ ||
-      !journal_.is_open())
+      journal_.bytes() < static_cast<std::int64_t>(opt_.journal_compact_bytes))
     return;
-  if (journal_.bytes() <
-      static_cast<std::int64_t>(opt_.journal_compact_bytes))
-    return;
-  // Rotation: rewrite down to the live set. live_records_ is keyed
-  // (rid, request-before-result), so the compacted journal preserves
-  // append order; the config snapshot heads it like a fresh journal's.
-  std::vector<std::string> keep;
-  keep.reserve(live_records_.size() + 1);
-  keep.push_back(config_record());
-  for (const auto& kv : live_records_) keep.push_back(kv.second);
-  const std::string path = opt_.journal_path;
+  // Rotation: rewrite down to the live set, in append order, headed by the
+  // config snapshot like a fresh journal.
+  const std::string& path = opt_.journal_path;
   journal_.close();
   try {
-    Journal::rewrite(path, keep);
+    Journal::rewrite(path, live_.records(config_record()));
     ++journal_compactions_;
   } catch (const std::exception&) {
     // The tmp+rename contract leaves the old file intact on failure:
@@ -1015,7 +1045,9 @@ void SizingDaemon::maybe_compact_locked() {
   try {
     journal_.open(path);
   } catch (const std::exception&) {
-    ++journal_errors_;  // durability lost from here; keep serving
+    // Durability lost from here: every later submit and resize is refused
+    // by its write-ahead append, never run unjournaled.
+    ++journal_errors_;
   }
 }
 
@@ -1039,30 +1071,17 @@ void SizingDaemon::recover_from_journal() {
                     .done());
     return;
   }
-  // A request is unfinished iff its submit record has no matching result
-  // record. Records that fail to parse or lack a rid are skipped — the
-  // torn-tail contract already bounds damage to the end of the file, so
-  // anything unreadable in the middle is best-effort ignored, not fatal.
-  struct ReplayResize {
-    std::uint64_t rid = 0;
-    JsonObj obj;
-    std::string raw;  ///< original payload, kept verbatim on compaction
-    bool has_result = false;
-    bool result_ok = false;
-    std::string result_raw;
-  };
-  struct ReplaySession {
-    std::uint64_t base_rid = 0;
-    JsonObj base;
-    std::string base_raw;
-    bool base_failed = false;  ///< only failed bases journal results
-    bool released = false;
-    std::vector<ReplayResize> resizes;
-  };
-  std::map<std::uint64_t, std::pair<JsonObj, std::string>> pending;
-  std::map<std::uint64_t, ReplaySession> sess;  // by session number
-  // rid -> (session, resize index; -1 = the base submit)
-  std::map<std::uint64_t, std::pair<std::uint64_t, int>> rid_owner;
+  // Repeat history: fold every record through the rule serving folded it
+  // through when it appended it. Records that fail to parse, lack a rid or
+  // name no known type are skipped — the torn-tail contract already bounds
+  // damage to the end of the file, so anything unreadable in the middle is
+  // best-effort ignored, not fatal.
+  static const std::map<std::string, LiveSet::Kind> kinds = {
+      {"submit", LiveSet::Kind::kSubmit},
+      {"resize", LiveSet::Kind::kResize},
+      {"result", LiveSet::Kind::kResult},
+      {"release", LiveSet::Kind::kRelease}};
+  LiveSet live;
   JsonObj config;
   bool has_config = false;
   std::uint64_t max_rid = 0, max_sid = 0, finished = 0;
@@ -1086,47 +1105,11 @@ void SizingDaemon::recover_from_journal() {
     std::uint64_t sid = 0;
     find_integer(obj, "session", sid);
     max_sid = std::max(max_sid, sid);
-    if (type == "submit") {
-      if (sid != 0) {
-        ReplaySession& rs = sess[sid];
-        rs.base_rid = rid;
-        rs.base = std::move(obj);
-        rs.base_raw = rec;
-        rid_owner[rid] = {sid, -1};
-      } else {
-        pending[rid] = {std::move(obj), rec};
-      }
-    } else if (type == "result") {
-      auto owner = rid_owner.find(rid);
-      if (owner != rid_owner.end()) {
-        ReplaySession& rs = sess[owner->second.first];
-        if (owner->second.second < 0) {
-          rs.base_failed = true;
-        } else {
-          ReplayResize& rz =
-              rs.resizes[static_cast<std::size_t>(owner->second.second)];
-          rz.has_result = true;
-          rz.result_ok = get_flag(obj, "ok");
-          rz.result_raw = rec;
-        }
-        ++finished;
-      } else {
-        finished += pending.erase(rid);
-      }
-    } else if (type == "resize") {
-      auto si = sess.find(sid);
-      if (si != sess.end() && !si->second.released) {
-        rid_owner[rid] = {sid, static_cast<int>(si->second.resizes.size())};
-        ReplayResize rz;
-        rz.rid = rid;
-        rz.obj = std::move(obj);
-        rz.raw = rec;
-        si->second.resizes.push_back(std::move(rz));
-      }
-    } else if (type == "release") {
-      auto si = sess.find(sid);
-      if (si != sess.end()) si->second.released = true;
-    }
+    const auto kind = kinds.find(type);
+    if (kind != kinds.end() &&
+        live.apply(kind->second, rid, sid, get_flag(obj, "ok"), rec) &&
+        kind->second == LiveSet::Kind::kResult)
+      ++finished;
   }
   // Config gate: replaying under a different base_seed or FP contract
   // would *run* — and silently produce different sizes than the journal's
@@ -1139,10 +1122,11 @@ void SizingDaemon::recover_from_journal() {
     int ver = 1;  // absent: the first format
     if (config.count("version") != 0 && !find_integer(config, "version", ver))
       ver = 0;  // not an integer: incompatible
-    const std::uint64_t seed = std::strtoull(
-        get_string(config, "base_seed", "0").c_str(), nullptr, 10);
+    const std::string seed_text = get_string(config, "base_seed", "0");
+    std::uint64_t seed = 0;
+    const bool seed_ok = parse_whole(seed_text, seed);
     const bool fm = get_flag(config, "fast_math");
-    if (ver != 1 || seed != opt_.engine.base_seed || fm) {
+    if (ver != 1 || !seed_ok || seed != opt_.engine.base_seed || fm) {
       std::lock_guard<std::mutex> lock(mu_);
       ++journal_errors_;
       compaction_disabled_ = true;
@@ -1155,11 +1139,10 @@ void SizingDaemon::recover_from_journal() {
               .boolean("ok", false)
               .str("error",
                    strf("journal config incompatible: journal has version "
-                        "%d base_seed %llu fast_math %s, engine has "
+                        "%d base_seed %s fast_math %s, engine has "
                         "version 1 base_seed %llu fast_math false; "
                         "refusing to replay (journal preserved)",
-                        ver, static_cast<unsigned long long>(seed),
-                        fm ? "true" : "false",
+                        ver, seed_text.c_str(), fm ? "true" : "false",
                         static_cast<unsigned long long>(
                             opt_.engine.base_seed)))
               .uinteger("records", records.size())
@@ -1168,66 +1151,29 @@ void SizingDaemon::recover_from_journal() {
       return;
     }
   }
-  // Dead sessions (released, or their base failed terminally) vanish
-  // whole — base, resize chain and all. Failed resizes never changed
-  // state, so they are dropped from live chains too.
-  for (auto it = sess.begin(); it != sess.end();) {
-    if (it->second.released || it->second.base_failed) {
-      it = sess.erase(it);
-    } else {
-      auto& rz = it->second.resizes;
-      rz.erase(std::remove_if(rz.begin(), rz.end(),
-                              [](const ReplayResize& r) {
-                                return r.has_result && !r.result_ok;
-                              }),
-               rz.end());
-      ++it;
-    }
+  // Compact to exactly the live set, then re-run it from a copy: a refused
+  // re-admit below folds its failed result into the set.
+  Journal::rewrite(path, live.records(config_record()));
+  const std::map<std::uint64_t, LiveSet::Entry> replayed = live.entries();
+  std::uint64_t submits = 0, sessions = 0;
+  for (const auto& [rid, e] : replayed) {
+    submits += !e.resize;
+    sessions += !e.resize && e.sid != 0;
   }
-  // Compact to exactly the live set — config snapshot first, then every
-  // kept record in original append order — and seed the in-memory live
-  // map the next rotation will reuse.
-  std::map<std::pair<std::uint64_t, int>, std::string> live;
-  for (const auto& kv : pending) live[{kv.first, 0}] = kv.second.second;
-  for (const auto& kv : sess) {
-    live[{kv.second.base_rid, 0}] = kv.second.base_raw;
-    for (const ReplayResize& rz : kv.second.resizes) {
-      live[{rz.rid, 0}] = rz.raw;
-      if (rz.has_result) live[{rz.rid, 1}] = rz.result_raw;
-    }
-  }
-  std::vector<std::string> keep;
-  keep.reserve(live.size() + 1);
-  keep.push_back(config_record());
-  for (const auto& kv : live) keep.push_back(kv.second);
-  Journal::rewrite(path, keep);
   {
     std::lock_guard<std::mutex> lock(mu_);
     journal_.open(path);
     next_rid_ = any_rid ? max_rid + 1 : 0;
     next_session_id_ = max_sid + 1;
-    live_records_ = std::move(live);
-    // Rebuild the session table; base sizes arrive when the re-run base
-    // jobs complete (on_result fills them exactly like the first run).
-    for (const auto& kv : sess) {
-      auto es = std::make_unique<EcoSession>();
-      es->sid = kv.first;
-      es->circuit = get_string(kv.second.base, "circuit");
-      es->base_rid = kv.second.base_rid;
-      es->durable = true;
-      es->rids.push_back(kv.second.base_rid);
-      for (const ReplayResize& rz : kv.second.resizes)
-        es->rids.push_back(rz.rid);
-      sessions_[kv.first] = std::move(es);
-    }
+    live_ = std::move(live);
     emit_locked(JsonLine()
                     .str("event", "replay")
                     .boolean("ok", true)
                     .boolean("torn", torn)
                     .uinteger("records", records.size())
                     .uinteger("finished", finished)
-                    .uinteger("recovered", pending.size() + sess.size())
-                    .uinteger("sessions", sess.size())
+                    .uinteger("recovered", submits)
+                    .uinteger("sessions", sessions)
                     .done());
   }
   // Re-admit in rid order, bypassing admission control — these requests
@@ -1236,62 +1182,48 @@ void SizingDaemon::recover_from_journal() {
   // re-run even though their results already reached clients: their
   // sizes only live in the re-run (at-least-once re-emission, same
   // sizes_hash by the seed contract).
-  struct Admit {
-    std::uint64_t rid = 0;
-    std::uint64_t sid = 0;
-    const JsonObj* obj = nullptr;
+  const auto parsed = [](const std::string& rec) {
+    JsonObj obj;
+    std::string err;
+    FlatJsonParser(rec).parse(obj, err);  // it parsed once already
+    return obj;
   };
-  std::vector<Admit> admits;
-  admits.reserve(pending.size() + sess.size());
-  for (const auto& kv : pending)
-    admits.push_back(Admit{kv.first, 0, &kv.second.first});
-  for (const auto& kv : sess)
-    admits.push_back(Admit{kv.second.base_rid, kv.first, &kv.second.base});
-  std::sort(admits.begin(), admits.end(),
-            [](const Admit& a, const Admit& b) { return a.rid < b.rid; });
-  for (const Admit& a : admits) {
-    const std::uint64_t rid = a.rid;
-    const std::uint64_t sid = a.sid;
-    const std::string id = get_string(*a.obj, "id");
-    const std::string circuit_name = get_string(*a.obj, "circuit");
+  for (const auto& [rid, e] : replayed) {
+    if (e.resize) continue;
+    const JsonObj obj = parsed(e.request);
+    const std::string id = get_string(obj, "id");
+    const std::string circuit_name = get_string(obj, "circuit");
+    if (e.sid != 0) {
+      std::lock_guard<std::mutex> lock(mu_);
+      sessions_[e.sid] = std::make_unique<EcoSession>(circuit_name);
+    }
     try {
-      const SizingJob job = job_from_obj(*a.obj, circuit_name);
+      const SizingJob job = job_from_obj(obj, circuit_name);
       const SizingNetwork& net = circuit(circuit_name);
       std::lock_guard<std::mutex> lock(mu_);
-      const JobTicket t = runner_->submit_detached(
-          net, job, [this, id, rid, sid](const JobResult& r) {
-            on_result(id, rid, sid, r);
-          });
-      ++admitted_;
+      admit_locked(net, job, id, rid, e.sid);
       ++recovered_;
-      JsonLine out;
-      out.str("event", "accepted");
-      if (!id.empty()) out.str("id", id);
-      if (sid != 0) out.uinteger("session", sid);
-      emit_locked(out.uinteger("rid", rid).uinteger("ticket", t).done());
-    } catch (const std::exception& e) {
+    } catch (const std::exception& ex) {
       // Journal from a build that accepted a circuit name or a field value
       // this one refuses (a ratio of 0, say): give the request its terminal
-      // response and journal it as finished so it stops replaying.
-      const auto* refused = dynamic_cast<const EngineError*>(&e);
+      // response and journal it as finished so it stops replaying — a
+      // refused session base takes its resize chain with it.
+      const auto* refused = dynamic_cast<const EngineError*>(&ex);
       const EngineStatus status =
           refused != nullptr ? refused->status() : EngineStatus::kInternal;
       std::lock_guard<std::mutex> lock(mu_);
       respond_error_locked(id, status,
                            strf("replay of rid %llu failed: %s",
                                 static_cast<unsigned long long>(rid),
-                                e.what()));
-      journal_append_locked(JsonLine()
-                                .str("type", "result")
-                                .uinteger("rid", rid)
-                                .str("status", to_string(status))
-                                .boolean("ok", false)
-                                .done());
-      live_records_.erase({rid, 0});
-      if (sid != 0) {
-        auto si = sessions_.find(sid);
-        if (si != sessions_.end()) si->second->failed = true;
-      }
+                                ex.what()));
+      if (e.sid != 0) sessions_[e.sid]->failed = true;
+      journal_terminal_locked(LiveSet::Kind::kResult, rid, e.sid, false,
+                              JsonLine()
+                                  .str("type", "result")
+                                  .uinteger("rid", rid)
+                                  .str("status", to_string(status))
+                                  .boolean("ok", false)
+                                  .done());
     }
   }
   // Re-apply the journaled resize chains. The bases must finish first —
@@ -1299,62 +1231,51 @@ void SizingDaemon::recover_from_journal() {
   // already journaled re-applies *silently* (its answer reached the
   // client; determinism makes the re-apply reach the same state); one
   // without re-emits, the at-least-once side of the crash window.
-  bool any_resizes = false;
-  for (const auto& kv : sess) any_resizes |= !kv.second.resizes.empty();
-  if (!any_resizes) return;
+  if (submits == replayed.size()) return;  // no resize chain
   runner_->wait_all();
-  struct Chain {
-    std::uint64_t sid = 0;
-    const ReplayResize* rz = nullptr;
-  };
-  std::vector<Chain> chain;
-  for (const auto& kv : sess)
-    for (const ReplayResize& rz : kv.second.resizes)
-      chain.push_back(Chain{kv.first, &rz});
-  std::sort(chain.begin(), chain.end(), [](const Chain& a, const Chain& b) {
-    return a.rz->rid < b.rz->rid;
-  });
-  for (const Chain& c : chain) {
-    const std::string id = get_string(c.rz->obj, "id");
+  for (const auto& [rid, e] : replayed) {
+    if (!e.resize) continue;
+    const JsonObj obj = parsed(e.request);
+    const std::string id = get_string(obj, "id");
+    const bool answered = !e.result.empty();
     EcoSession* es = nullptr;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      auto si = sessions_.find(c.sid);
-      if (si == sessions_.end()) continue;
-      es = si->second.get();
-      if (!es->ready || es->failed) {
+      const auto si = sessions_.find(e.sid);
+      if (si != sessions_.end()) es = si->second.get();
+      if (es == nullptr || !es->ready) {
         // The re-run base failed where it once succeeded (e.g. its
         // circuit generator changed): terminate the chain's unanswered
         // entries so nothing replays forever.
-        if (!c.rz->has_result) {
+        if (!answered) {
           respond_error_locked(
               id, EngineStatus::kInternal,
               strf("replay of resize rid %llu failed: session %llu base "
                    "did not recover",
-                   static_cast<unsigned long long>(c.rz->rid),
-                   static_cast<unsigned long long>(c.sid)));
-          journal_append_locked(JsonLine()
-                                    .str("type", "result")
-                                    .uinteger("rid", c.rz->rid)
-                                    .uinteger("session", c.sid)
-                                    .boolean("ok", false)
-                                    .str("error", "base did not recover")
-                                    .done());
+                   static_cast<unsigned long long>(rid),
+                   static_cast<unsigned long long>(e.sid)));
+          journal_terminal_locked(LiveSet::Kind::kResult, rid, e.sid, false,
+                                  JsonLine()
+                                      .str("type", "result")
+                                      .uinteger("rid", rid)
+                                      .uinteger("session", e.sid)
+                                      .boolean("ok", false)
+                                      .str("error", "base did not recover")
+                                      .done());
         }
         continue;
       }
     }
     ResizeResult rr;
     try {
-      const ResizeDelta delta = delta_from_strings(
-          get_number(c.rz->obj, "target", 0.0),
-          get_string(c.rz->obj, "loads"), get_string(c.rz->obj, "pins"));
-      rr = apply_resize(*es, delta);
-    } catch (const std::exception& e) {
+      rr = apply_resize(*es, delta_from_strings(get_number(obj, "target", 0.0),
+                                                get_string(obj, "loads"),
+                                                get_string(obj, "pins")));
+    } catch (const std::exception& ex) {
       rr.ok = false;
-      rr.error = e.what();
+      rr.error = ex.what();
     }
-    if (!c.rz->has_result) finish_resize(id, c.sid, c.rz->rid, true, rr);
+    if (!answered) finish_resize(id, e.sid, rid, rr);
   }
 }
 

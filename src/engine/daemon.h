@@ -81,33 +81,37 @@
 // admit/reject/shed counters, p50/p99 ticket latency from a fixed-bucket
 // histogram) come from the "stats" op at any time.
 //
-// Durability (DaemonOptions::journal_path): when set, every accepted
-// submit is written ahead to an fsync'd journal (util/journal.h) before
-// it reaches the engine — with its seed already resolved, so the solve is
-// pinned at journal time — and every terminal result is journaled after
-// it is emitted. A daemon constructed on an existing journal replays it:
-// requests with no journaled result are re-admitted in original order
-// (bypassing admission control — they were already admitted once) and,
-// carrying their journaled seeds, reproduce bit-identical sizes_hash
-// values. The journal is compacted to the unfinished set on recovery. The
-// emission contract is at-least-once across a crash: a request whose
-// result was emitted but not yet journaled is re-run and re-emitted.
+// Durability (DaemonOptions::journal_path). With a journal configured,
+// work is journaled or refused: a submit (its seed already resolved, so
+// the solve is pinned at journal time) and a resize delta reach an
+// fsync'd journal (util/journal.h) before they run, and one whose append
+// fails is answered "internal" and never runs, a journal that could not
+// be reopened after a rotation included. A release is journaled before
+// its ack, a terminal result after its event; a failed append of either
+// is counted in journal_errors and costs a re-run on replay, no more.
+// Which records stay live is one rule, SizingDaemon::LiveSet's: serving
+// folds every record it appends through it, rotation writes it out, and
+// a daemon constructed on an existing journal folds every replayed record
+// through the same rule, compacts the file to the result and re-admits
+// its live submits in original order (bypassing admission control: they
+// were admitted once), their journaled seeds reproducing bit-identical
+// sizes_hash values. A session base is re-run, then its live resize chain
+// re-applied in order; only requests whose results never reached the
+// journal re-emit, so emission is at-least-once across a crash. When
+// DaemonOptions::journal_compact_bytes is set, a journal grown past it is
+// rewritten down to its live set, so a long-lived daemon's journal stays
+// proportional to its outstanding work, not its history.
 //
-// Every journal begins with a config snapshot record pinning the fields
-// replay determinism depends on (base_seed). A daemon started on a
-// journal whose snapshot does not match its own configuration, or says
-// "fast_math":true (a mode older builds offered and this one cannot
-// reproduce), refuses recovery: it emits {"event":"replay","ok":false,...},
-// preserves the file untouched for the operator, and serves on without
-// replaying anything. ECO sessions are durable too: the base submit and
-// every resize delta are journaled write-ahead, and recovery re-runs the
-// base (bit-identical by the seed contract) and re-applies the resize
-// chain in order, re-emitting only resizes whose results never made it
-// to the journal. When DaemonOptions::journal_compact_bytes is set, the
-// journal is also rotated while serving: once it grows past the bound it
-// is rewritten down to its live set (config snapshot + unfinished
-// submits + live session records), so a long-lived daemon's journal
-// stays proportional to its outstanding work, not its history.
+// Every journal begins with a config snapshot record ("version" and the
+// engine's "base_seed" as a decimal string). A daemon started on a
+// journal whose snapshot does not match its own configuration (a seed
+// that does not parse whole included), or says "fast_math":true (a mode
+// older builds offered and this one cannot reproduce), refuses recovery:
+// it emits {"event":"replay","ok":false,...}, preserves the file
+// untouched for the operator, and serves on without replaying anything.
+// A journal that cannot be opened or compacted at construction (its
+// directory is missing, say) makes the constructor throw EngineError;
+// mftd reports it as a startup error and exits 2.
 #pragma once
 
 #include <cstdint>
@@ -117,7 +121,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
+#include <vector>
 
 #include "engine/stream.h"
 #include "timing/lowering.h"
@@ -151,14 +155,13 @@ struct DaemonOptions {
   double deadline_pressure = 0.0;
   /// Write-ahead journal path. Empty (the default) disables durability.
   /// When set, the constructor replays any existing journal at this path
-  /// (re-admitting unfinished requests and emitting a {"event":"replay"}
-  /// line) before serving, and every accepted submit / terminal result is
-  /// journaled from then on.
+  /// (re-admitting its live requests and emitting a {"event":"replay"}
+  /// line) before serving, and every submit and resize is journaled or
+  /// refused from then on.
   std::string journal_path;
   /// Size-triggered journal rotation: after a terminal record lands, a
-  /// journal grown past this many bytes is compacted in place down to its
-  /// live set — the config snapshot, unfinished submits, and the records
-  /// of live ECO sessions. 0 (the default) disables rotation.
+  /// journal grown past this many bytes is compacted in place down to the
+  /// config snapshot and its live set. 0 (the default) disables rotation.
   std::uint64_t journal_compact_bytes = 0;
 };
 
@@ -216,7 +219,47 @@ class SizingDaemon {
   struct ParsedResize;
   struct EcoSession;
 
+  /// The journal's live set: exactly the records a rotation or a replay
+  /// compaction keeps, in rid (append) order. The whole rule is apply():
+  ///  - a submit is live until its result, so a successful session base
+  ///    (which journals no result) stays live until its release;
+  ///  - a resize of a live session stays live, with its result once that
+  ///    result is ok; a failed resize is dropped;
+  ///  - a failed base or a release drops the session whole.
+  class LiveSet {
+   public:
+    enum class Kind { kSubmit, kResize, kResult, kRelease };
+    struct Entry {
+      std::uint64_t sid = 0;  ///< owning session; 0 for a plain submit
+      bool resize = false;
+      std::string request;    ///< the submit or resize record
+      std::string result;     ///< a resize's ok result record, else empty
+    };
+    /// Folds one record in. False when it names no live request or
+    /// session (a result of a finished request, a resize of a dead
+    /// session): the record leaves the set unchanged.
+    bool apply(Kind kind, std::uint64_t rid, std::uint64_t sid, bool ok,
+               const std::string& payload);
+    /// The compacted journal: `head` (the config snapshot), then each live
+    /// request followed by its kept result.
+    std::vector<std::string> records(std::string head) const;
+    const std::map<std::uint64_t, Entry>& entries() const { return entries_; }
+
+   private:
+    bool drop_session(std::uint64_t sid);
+    std::map<std::uint64_t, Entry> entries_;  ///< by rid
+    /// Each live session's rids, base first; drop_session skips those
+    /// already dropped.
+    std::map<std::uint64_t, std::vector<std::uint64_t>> sessions_;
+  };
+
   void do_submit(const ParsedSubmit& req);
+  /// The admission tail live and replayed submits share: hands the job to
+  /// the engine, counts it and emits its "accepted" ack. Under mu_, so the
+  /// ack precedes the job's result event.
+  void admit_locked(const SizingNetwork& net, const SizingJob& job,
+                    const std::string& id, std::uint64_t rid,
+                    std::uint64_t sid);
   /// One warm-start ECO resize against a live session: journals the delta
   /// write-ahead, runs the solve on the request thread (outside mu_), and
   /// answers with exactly one result event.
@@ -225,24 +268,35 @@ class SizingDaemon {
   /// Builds the session's ResizeSession on first use (adopting the base
   /// job's sizes) and applies one delta. Request thread only.
   ResizeResult apply_resize(EcoSession& es, const ResizeDelta& delta);
-  /// Terminal bookkeeping for a resize: result event, result record,
-  /// rotation check.
+  /// Terminal bookkeeping for a resize: result event, then result record.
   void finish_resize(const std::string& id, std::uint64_t sid,
-                     std::uint64_t rid, bool durable, const ResizeResult& rr);
+                     std::uint64_t rid, const ResizeResult& rr);
   void on_result(const std::string& id, std::uint64_t rid, std::uint64_t sid,
                  const JobResult& r);
-  /// Constructor-time crash recovery: replays opt_.journal_path, compacts
-  /// it down to the unfinished submits, re-admits them in rid order, and
-  /// emits one {"event":"replay",...} line summarizing what happened.
+  /// Constructor-time crash recovery: folds opt_.journal_path's records
+  /// through a LiveSet, compacts the file to it, re-admits its submits and
+  /// re-applies its resize chains in rid order, and emits one
+  /// {"event":"replay",...} line summarizing what happened.
   void recover_from_journal();
-  /// Appends one record under mu_; failures are counted, never thrown —
-  /// losing durability must not take down a serving daemon.
-  void journal_append_locked(const std::string& payload);
+  /// True iff a journal is configured: the one durability predicate.
+  bool journaled() const { return !opt_.journal_path.empty(); }
+  /// Write-ahead append of a submit or resize record, folded into the live
+  /// set. False, after answering `id` with kInternal, when the append
+  /// fails: the request is refused rather than run unjournaled.
+  bool journal_ahead_locked(const std::string& id, LiveSet::Kind kind,
+                            std::uint64_t rid, std::uint64_t sid,
+                            const std::string& rec);
+  /// Appends a terminal record (a result or a release), folds it into the
+  /// live set and runs the rotation check. A failed append is counted,
+  /// never thrown: losing durability must not take down a serving daemon.
+  void journal_terminal_locked(LiveSet::Kind kind, std::uint64_t rid,
+                               std::uint64_t sid, bool ok,
+                               const std::string& rec);
   /// The flat config-snapshot record pinning everything journal replay
   /// determinism depends on; heads every fresh or rotated journal.
   std::string config_record() const;
   /// Size-triggered rotation: once the journal grows past
-  /// opt_.journal_compact_bytes, rewrites it down to the live record set.
+  /// opt_.journal_compact_bytes, rewrites it down to the live set.
   void maybe_compact_locked();
   /// The one-terminal-response path for anything that never reached the
   /// engine: rejected, malformed, unknown op, internal fault.
@@ -273,9 +327,10 @@ class SizingDaemon {
   LatencyHistogram latency_;       ///< submit→result, per terminal result
   bool shutdown_ = false;
 
-  /// Write-ahead journal (open iff opt_.journal_path is set). Guarded by
-  /// mu_; declared before runner_ so result callbacks from the draining
-  /// engine can still journal during destruction.
+  /// Write-ahead journal (opened at construction iff journaled(); closed
+  /// only by a rotation that could not reopen it). Guarded by mu_;
+  /// declared before runner_ so result callbacks from the draining engine
+  /// can still journal during destruction.
   Journal journal_;
   std::uint64_t next_rid_ = 0;       ///< next durable request id
   std::uint64_t journal_errors_ = 0;
@@ -284,10 +339,7 @@ class SizingDaemon {
   /// Set when recovery refused an incompatible journal: rotation must not
   /// silently drop the preserved records.
   bool compaction_disabled_ = false;
-  /// Exactly what a rotation keeps, keyed (rid, seq: 0 request /
-  /// 1 result) so compacted journals stay in append order. Guarded by
-  /// mu_; maintained only while the journal is open.
-  std::map<std::pair<std::uint64_t, int>, std::string> live_records_;
+  LiveSet live_;  ///< what a rotation keeps; guarded by mu_
 
   /// Live ECO sessions by session number. The map is guarded by mu_; a
   /// session's ResizeSession itself is touched only from handle_line's

@@ -121,14 +121,20 @@ std::vector<std::string> Journal::replay(const std::string& path, bool* torn) {
     // short by a crash — is a torn tail: keep what parsed so far.
     if (bytes.compare(pos, magic.size(), magic) != 0) break;
     std::size_t p = pos + magic.size();
+    // A length past the bytes left is a torn tail too. Checked per digit,
+    // it cannot overflow, nor wrap the payload bound below back onto an
+    // earlier record.
     std::size_t len = 0;
     bool have_len = false;
-    while (p < bytes.size() && bytes[p] >= '0' && bytes[p] <= '9') {
+    while (p < bytes.size() && bytes[p] >= '0' && bytes[p] <= '9' &&
+           len <= bytes.size() - p) {
       len = len * 10 + static_cast<std::size_t>(bytes[p] - '0');
       ++p;
       have_len = true;
     }
-    if (!have_len || p >= bytes.size() || bytes[p] != ' ') break;
+    if (!have_len || len > bytes.size() - p || p >= bytes.size() ||
+        bytes[p] != ' ')
+      break;
     ++p;
     if (p + 8 > bytes.size()) break;
     std::uint32_t want_crc = 0;

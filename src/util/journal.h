@@ -13,10 +13,11 @@
 // fsync'd before it returns — a record handed back to the caller is on
 // disk. replay() walks the file from the start and returns the longest
 // valid prefix of records: a torn tail (partial write from a crash, a
-// truncated file) or a CRC mismatch stops the walk without error, because
-// after a kill -9 a damaged last record is the *expected* state, not a
-// corruption to die over. rewrite() (compaction) replaces the file
-// atomically via tmp-write + rename.
+// truncated file, a frame length past the end of the file) or a CRC
+// mismatch stops the walk without error, because after a kill -9 a
+// damaged last record is the *expected* state, not a corruption to die
+// over. rewrite() (compaction) replaces the file atomically via
+// tmp-write + rename.
 //
 // Thread-safety: none — callers guard the Journal with their own lock
 // (the daemon uses its session mutex). replay()/rewrite() are static and

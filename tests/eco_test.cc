@@ -16,7 +16,8 @@
 //    stripped from the journal) re-runs the base job and re-applies the
 //    resize chain on replay, reproducing bit-identical hashes; a second
 //    restart replays the chain silently (results already journaled,
-//    nothing re-emitted).
+//    nothing re-emitted); a replayed base this build refuses takes its
+//    answered resize chain out of the journal with it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -380,6 +381,57 @@ TEST(EcoSession, ResizeChainSurvivesACrashWithBitIdenticalHashes) {
   d2.handle_line(resize_line("fp", sid));
   lines2 = log2.snapshot();
   EXPECT_EQ(hash_for(lines2, "fp"), r1_hash);
+}
+
+// Replay folds a refused base's failed result through the same rule as
+// serving: the session goes whole, answered resizes included, so the next
+// rotation keeps nothing of it.
+TEST(EcoSession, ARefusedReplayedBaseTakesItsResizeChainOutOfTheJournal) {
+  const std::string path = temp_path("eco_refused_base.mftj");
+  DaemonOptions opt;
+  opt.engine.threads = 1;
+  opt.journal_path = path;
+  const std::string loads =
+      ",\"loads\":\"" + std::to_string(c17_gate_vertex()) + ":0.05\"";
+  {
+    Capture cap;
+    SizingDaemon d(opt, cap.emit());
+    d.handle_line(session_submit("base", "c17", 0.8));
+    d.drain();
+    const std::string sid =
+        raw_field(line_for(cap.snapshot(), "accepted", "base"), "session");
+    ASSERT_FALSE(sid.empty());
+    d.handle_line(resize_line("r1", sid, loads));
+    d.handle_line(resize_line("r2", sid));
+    const std::vector<std::string> lines = cap.snapshot();
+    ASSERT_EQ(raw_field(line_for(lines, "result", "r1"), "ok"), "true");
+    ASSERT_EQ(raw_field(line_for(lines, "result", "r2"), "ok"), "true");
+  }
+  // config, base, r1, r1's result, r2, r2's result; then the base's
+  // circuit becomes a name this build refuses (a size past its bound).
+  std::vector<std::string> recs = Journal::replay(path);
+  ASSERT_EQ(recs.size(), 6u);
+  const std::string c17 = "\"circuit\":\"c17\"";
+  const std::size_t at = recs[1].find(c17);
+  ASSERT_NE(at, std::string::npos) << recs[1];
+  recs[1].replace(at, c17.size(), "\"circuit\":\"adder4294967298\"");
+  Journal::rewrite(path, recs);
+
+  opt.journal_compact_bytes = 1;  // rotate after every terminal record
+  Capture log;
+  SizingDaemon d(opt, log.emit());
+  d.handle_line(
+      "{\"op\":\"submit\",\"id\":\"next\",\"circuit\":\"c17\",\"ratio\":0.8}");
+  d.drain();
+  const std::vector<std::string> lines = log.snapshot();
+  EXPECT_EQ(raw_field(line_for(lines, "result", "base"), "status"),
+            "invalid_input");
+  EXPECT_EQ(line_for(lines, "result", "r1"), "");
+  EXPECT_EQ(line_for(lines, "result", "r2"), "");
+  EXPECT_EQ(raw_field(line_for(lines, "result", "next"), "ok"), "true");
+  const std::vector<std::string> after = Journal::replay(path);
+  ASSERT_EQ(after.size(), 1u) << after.back();
+  EXPECT_EQ(raw_field(after[0], "type"), "config");
 }
 
 }  // namespace

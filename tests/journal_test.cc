@@ -5,8 +5,9 @@
 //  - Framing: append/replay round-trips byte-exactly; replay of a file
 //    truncated at EVERY byte offset returns a valid prefix of the
 //    records without crashing (the kill -9 contract); a CRC-corrupt
-//    record ends the walk at the last intact prefix; rewrite() compacts
-//    atomically and the file stays appendable.
+//    record ends the walk at the last intact prefix, and so does a frame
+//    length past the end of the file; rewrite() compacts atomically and
+//    the file stays appendable.
 //  - Daemon: accepted submits and terminal results are journaled; a
 //    clean run leaves nothing to recover; a simulated crash (results
 //    stripped from the journal) re-admits every unfinished request and
@@ -14,12 +15,15 @@
 //    seeds; a journaled submit whose circuit name this build refuses
 //    replays as an invalid_input result, and one carrying a field only
 //    older builds knew replays as if it were absent; a config snapshot
-//    the engine cannot honor refuses replay; injected faults at
-//    journal.append / journal.replay degrade to structured error
-//    responses, never a dead daemon.
+//    the engine cannot honor (a base_seed that does not parse whole
+//    included) refuses replay; injected faults at journal.append /
+//    journal.replay degrade to structured error responses, never a dead
+//    daemon; a journal a rotation cannot reopen makes the daemon refuse
+//    work rather than serve it unjournaled.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <string>
@@ -182,6 +186,29 @@ TEST_F(JournalTest, CrcCorruptionEndsTheWalkAtTheLastIntactRecord) {
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], "record zero");
   EXPECT_TRUE(torn);
+}
+
+// A frame length is bounded by the bytes left in the file. One that points
+// past the end is a torn tail like any other: unbounded, the first length
+// below wrapped the payload bound back onto the first record's newline and
+// the walk re-read its own frame until memory ran out; the 25-digit one
+// overflowed the length type.
+TEST_F(JournalTest, AFrameLengthPastTheEndIsATornTail) {
+  const std::string path = temp_path("journal_len.mftj");
+  char crc_ab[9], crc_zz[9];
+  std::snprintf(crc_ab, sizeof crc_ab, "%08x", Journal::crc32("ab"));
+  std::snprintf(crc_zz, sizeof crc_zz, "%08x", Journal::crc32("zz"));
+  for (const char* len :
+       {"18446744073709551580", "1234567890123456789012345"}) {
+    SCOPED_TRACE(len);
+    spit(path, std::string("MFTJ 2 ") + crc_ab + " ab\n" + "MFTJ " + len +
+                   " " + crc_zz + " zz");
+    bool torn = false;
+    const std::vector<std::string> got = Journal::replay(path, &torn);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0], "ab");
+    EXPECT_TRUE(torn);
+  }
 }
 
 TEST_F(JournalTest, RewriteCompactsAtomicallyAndStaysAppendable) {
@@ -465,15 +492,31 @@ TEST_F(JournalTest, IncompatibleConfigSnapshotRefusesReplayAndPreservesIt) {
     return r;
   };
 
+  // The snapshot with its base_seed string replaced by `text`.
+  const std::string seed = json_field(recs[0], "base_seed");
+  auto seed_reading = [&](const std::string& text) {
+    std::vector<std::string> r = recs;
+    const std::string from = "\"base_seed\":\"" + seed + "\"";
+    r[0].replace(r[0].find(from), from.size(),
+                 "\"base_seed\":\"" + text + "\"");
+    return r;
+  };
+
   // A daemon could *run* these replays — and silently produce different
   // sizes than the journal's clients were promised: a snapshot that says
-  // "fast_math":true (reassociated folds this build cannot reproduce), and
-  // one whose base_seed differs from the engine's. It must refuse instead,
-  // and leave the file untouched.
+  // "fast_math":true (reassociated folds this build cannot reproduce), ones
+  // whose base_seed string wraps the engine's digits in a tail, a space or
+  // a sign, and one whose base_seed differs from the engine's. It must
+  // refuse instead, and leave the file untouched.
   DaemonOptions other_seed = durable_opts(path);
   other_seed.engine.base_seed = 12345;
   const std::pair<std::vector<std::string>, DaemonOptions> refused[] = {
-      {snapshot_saying("true"), durable_opts(path)}, {recs, other_seed}};
+      {snapshot_saying("true"), durable_opts(path)},
+      {seed_reading(seed + "junk"), durable_opts(path)},
+      {seed_reading(" " + seed), durable_opts(path)},
+      {seed_reading("+" + seed), durable_opts(path)},
+      {seed_reading(seed + ".5"), durable_opts(path)},
+      {recs, other_seed}};
   for (const auto& [journal, opt] : refused) {
     SCOPED_TRACE(journal[0]);
     Journal::rewrite(path, journal);
@@ -507,6 +550,40 @@ TEST_F(JournalTest, IncompatibleConfigSnapshotRefusesReplayAndPreservesIt) {
     EXPECT_EQ(d2.stats().recovered, 1u);
     EXPECT_NE(log2.hash_for("a"), "");
   }
+}
+
+// A rotation that cannot reopen the journal (its directory is gone) loses
+// durability for good, so the daemon refuses work from then on instead of
+// serving it unjournaled.
+TEST_F(JournalTest, AJournalThatCannotBeReopenedRefusesWork) {
+  const std::string dir = ::testing::TempDir() + "/journal_gone";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  DaemonOptions opt = durable_opts(dir + "/j.mftj");
+  opt.journal_compact_bytes = 1;  // rotate after every terminal record
+  EventLog log;
+  SizingDaemon d(opt, log.emit());
+  d.handle_line(kSubmitA);
+  d.drain();
+  ASSERT_NE(log.hash_for("a"), "");
+  std::filesystem::remove_all(dir);
+  // b is journaled on the still-open, unlinked file; its result's rotation
+  // can neither write the compacted file nor reopen one.
+  d.handle_line(kSubmitB);
+  d.drain();
+  ASSERT_NE(log.hash_for("b"), "");
+  EXPECT_EQ(d.stats().journal_errors, 2u);
+  d.handle_line(
+      "{\"op\":\"submit\",\"circuit\":\"c17\",\"ratio\":0.8,\"id\":\"c\"}");
+  d.drain();
+  std::vector<std::string> answers;
+  for (const std::string& l : log.snapshot())
+    if (json_field(l, "id") == "c") answers.push_back(l);
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_EQ(json_field(answers[0], "event"), "result") << answers[0];
+  EXPECT_EQ(json_field(answers[0], "status"), "internal") << answers[0];
+  EXPECT_NE(answers[0].find("journal append failed"), std::string::npos)
+      << answers[0];
 }
 
 }  // namespace
