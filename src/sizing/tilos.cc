@@ -83,8 +83,7 @@ TilosResult run_tilos(const SizingNetwork& net, double target_delay,
       if (nx > tech.max_size) continue;
 
       // Own-stage speedup: delay(v) = a_self + L/x with L independent of x.
-      const double load =
-          (timing.delay[static_cast<std::size_t>(v)] - pl.a_self[p]) * x;
+      const double load = (timing.delay_pos[p] - pl.a_self[p]) * x;
       double dpath = load * (1.0 / nx - 1.0 / x);
       // Upstream penalty: every on-path vertex u with a load term a_uv sees
       // Δdelay(u) = a_uv·(nx − x)/x_u.

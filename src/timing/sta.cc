@@ -36,14 +36,14 @@ void full_delay_pos(const SweepPlan& pl, const std::vector<double>& sizes_pos,
 // is the explicit rule used here. A resumed fold
 // re-derives the prefix winner's end from the same operands, so it carries
 // on with exactly the value a fold from 0 would hold at `start`.
-void forward_fold(const SweepPlan& pl, const std::vector<double>& delay_pos,
-                  int start, std::vector<double>& at_pos,
-                  std::vector<int>& cp_prefix, double& critical_path,
-                  NodeId& cp_vertex) {
+void forward_fold(const SweepPlan& pl, int start, std::vector<int>& cp_prefix,
+                  TimingReport& r) {
   const int n = pl.n;
+  const std::vector<double>& delay_pos = r.delay_pos;
+  std::vector<double>& at_pos = r.at_pos;
   at_pos.resize(static_cast<std::size_t>(n));
   cp_prefix.resize(static_cast<std::size_t>(n));
-  critical_path = 0.0;
+  double critical_path = 0.0;
   int cp_pos = -1;
   int cp_tp = INT_MAX;
   if (start > 0) {
@@ -71,20 +71,21 @@ void forward_fold(const SweepPlan& pl, const std::vector<double>& delay_pos,
     }
     cp_prefix[pi] = cp_pos;
   }
-  cp_vertex =
+  r.critical_path = critical_path;
+  r.cp_vertex =
       cp_pos < 0 ? kInvalidNode : pl.vid[static_cast<std::size_t>(cp_pos)];
 }
 
-// Full forward/backward sweeps over already-computed per-vertex delays.
-// Shared by the full and incremental paths so both produce identical
-// reports; the backward fanout folds read only strictly later levels.
-void run_sweeps(const SweepPlan& pl,
-                const std::vector<double>& delay_pos,
-                std::vector<double>& at_pos, std::vector<double>& rt_pos,
-                std::vector<int>& cp_prefix, double& critical_path,
-                NodeId& cp_vertex) {
+// Full forward/backward sweeps over the report's position-order delays,
+// then the id-indexed export. Shared by the full and incremental paths so
+// both produce identical reports; the backward fanout folds read only
+// strictly later levels.
+void run_sweeps(const SweepPlan& pl, std::vector<double>& rt_pos,
+                std::vector<int>& cp_prefix, TimingReport& r) {
   const int n = pl.n;
-  forward_fold(pl, delay_pos, 0, at_pos, cp_prefix, critical_path, cp_vertex);
+  forward_fold(pl, 0, cp_prefix, r);
+  const std::vector<double>& delay_pos = r.delay_pos;
+  const double critical_path = r.critical_path;
   rt_pos.resize(static_cast<std::size_t>(n));
 
   // Backward: RT(v) = CP − delay(v) at POs, min over fanouts elsewhere.
@@ -98,30 +99,25 @@ void run_sweeps(const SweepPlan& pl,
                             delay_pos[pi]);
     rt_pos[pi] = rt;
   }
-}
 
-// Translate the position-space working set into the id-indexed public
-// report: linear writes over the three report arrays, gathered reads from
-// the position arrays.
-void export_report(const SweepPlan& pl, const std::vector<double>& delay_pos,
-                   const std::vector<double>& at_pos,
-                   const std::vector<double>& rt_pos, TimingReport& r) {
-  const std::size_t n = static_cast<std::size_t>(pl.n);
-  r.delay.resize(n);
-  r.at.resize(n);
-  r.rt.resize(n);
-  for (std::size_t v = 0; v < n; ++v) {
+  // Id-indexed export: linear writes over the three report arrays,
+  // gathered reads from the position arrays.
+  const std::size_t nv = static_cast<std::size_t>(n);
+  r.delay.resize(nv);
+  r.at.resize(nv);
+  r.rt.resize(nv);
+  for (std::size_t v = 0; v < nv; ++v) {
     const std::size_t p = static_cast<std::size_t>(pl.pos_of[v]);
     r.delay[v] = delay_pos[p];
-    r.at[v] = at_pos[p];
+    r.at[v] = r.at_pos[p];
     r.rt[v] = rt_pos[p];
   }
 }
 
-// Brings scratch.delay_pos up to date with `sizes`; `changed` selects the
-// hinted or scanning path. Returns the first sweep position whose delay was
-// recomputed (0 after a full recompute, n when nothing changed): no delay
-// before it and no AT up to it can have moved.
+// Brings scratch.report.delay_pos up to date with `sizes`; `changed`
+// selects the hinted or scanning path. Returns the first sweep position
+// whose delay was recomputed (0 after a full recompute, n when nothing
+// changed): no delay before it and no AT up to it can have moved.
 int update_delays(const SizingNetwork& net, const std::vector<double>& sizes,
                   TimingScratch& scratch, const std::vector<NodeId>* changed) {
   MFT_CHECK(net.frozen());
@@ -133,7 +129,7 @@ int update_delays(const SizingNetwork& net, const std::vector<double>& sizes,
   if (!scratch.valid || scratch.net_serial != net.serial()) {
     // First run on this scratch (or a different network): full recompute.
     pl.gather(sizes, scratch.sizes_pos);
-    full_delay_pos(pl, scratch.sizes_pos, scratch.delay_pos);
+    full_delay_pos(pl, scratch.sizes_pos, scratch.report.delay_pos);
     scratch.is_dirty.assign(n, 0);
     scratch.valid = true;
     scratch.net_serial = net.serial();
@@ -188,7 +184,7 @@ int update_delays(const SizingNetwork& net, const std::vector<double>& sizes,
         if (resized(v)) mark_changed(v);
     }
     for (const int p : dirty) {
-      scratch.delay_pos[static_cast<std::size_t>(p)] =
+      scratch.report.delay_pos[static_cast<std::size_t>(p)] =
           pl.delay_at(p, scratch.sizes_pos);
       scratch.is_dirty[static_cast<std::size_t>(p)] = 0;
     }
@@ -206,12 +202,15 @@ const TimingReport& run_sta_incremental(const SizingNetwork& net,
                                         TimingScratch& scratch,
                                         const std::vector<NodeId>* changed) {
   update_delays(net, sizes, scratch, changed);
-  const SweepPlan& pl = net.plan();
-  TimingReport& r = scratch.report;
-  run_sweeps(pl, scratch.delay_pos, scratch.at_pos, scratch.rt_pos,
-             scratch.cp_prefix, r.critical_path, r.cp_vertex);
-  export_report(pl, scratch.delay_pos, scratch.at_pos, scratch.rt_pos, r);
-  return r;
+  run_sweeps(net.plan(), scratch.rt_pos, scratch.cp_prefix, scratch.report);
+  return scratch.report;
+}
+
+// Whether `r` carries required times covering vertex `v`: false on an
+// arrival-only or empty report.
+bool has_rt(const TimingReport& r, NodeId v) {
+  return r.rt.size() == r.delay_pos.size() && v >= 0 &&
+         static_cast<std::size_t>(v) < r.rt.size();
 }
 }  // namespace
 
@@ -220,13 +219,11 @@ TimingReport run_sta(const SizingNetwork& net, const std::vector<double>& sizes)
   MFT_CHECK(static_cast<int>(sizes.size()) == net.num_vertices());
   const SweepPlan& pl = net.plan();
   TimingReport r;
-  std::vector<double> sizes_pos, delay_pos, at_pos, rt_pos;
+  std::vector<double> sizes_pos, rt_pos;
   std::vector<int> cp_prefix;
   pl.gather(sizes, sizes_pos);
-  full_delay_pos(pl, sizes_pos, delay_pos);
-  run_sweeps(pl, delay_pos, at_pos, rt_pos, cp_prefix, r.critical_path,
-             r.cp_vertex);
-  export_report(pl, delay_pos, at_pos, rt_pos, r);
+  full_delay_pos(pl, sizes_pos, r.delay_pos);
+  run_sweeps(pl, rt_pos, cp_prefix, r);
   return r;
 }
 
@@ -248,80 +245,67 @@ const TimingReport& run_arrivals(const SizingNetwork& net,
                                  TimingScratch& scratch,
                                  const std::vector<NodeId>& changed) {
   const int start = update_delays(net, sizes, scratch, &changed);
-  const SweepPlan& pl = net.plan();
   TimingReport& r = scratch.report;
-  forward_fold(pl, scratch.delay_pos, start, scratch.at_pos, scratch.cp_prefix,
-               r.critical_path, r.cp_vertex);
-  // Export the re-folded suffix only: the report already holds every
-  // earlier position's delay and AT, which this run cannot have moved.
-  const std::size_t n = static_cast<std::size_t>(pl.n);
-  r.delay.resize(n);
-  r.at.resize(n);
+  forward_fold(net.plan(), start, scratch.cp_prefix, r);
+  r.delay.clear();
+  r.at.clear();
   r.rt.clear();
-  for (std::size_t p = static_cast<std::size_t>(start); p < n; ++p) {
-    const std::size_t v = static_cast<std::size_t>(pl.vid[p]);
-    r.delay[v] = scratch.delay_pos[p];
-    r.at[v] = scratch.at_pos[p];
-  }
   return r;
 }
 
 double TimingReport::slack(NodeId v) const {
-  MFT_CHECK_MSG(rt.size() == at.size(),
+  MFT_CHECK_MSG(has_rt(*this, v),
                 "slack needs required times; an arrival-only report has "
                 "none");
   return rt[static_cast<std::size_t>(v)] - at[static_cast<std::size_t>(v)];
 }
 
 double TimingReport::edge_slack(const SizingNetwork& net, ArcId a) const {
-  MFT_CHECK_MSG(rt.size() == at.size(),
-                "edge_slack needs required times; an arrival-only report "
-                "has none");
   const Digraph& g = net.dag();
   const NodeId i = g.tail(a);
   const NodeId j = g.head(a);
+  MFT_CHECK_MSG(has_rt(*this, i) && has_rt(*this, j),
+                "edge_slack needs required times; an arrival-only report "
+                "has none");
   return rt[static_cast<std::size_t>(j)] - at[static_cast<std::size_t>(i)] -
          delay[static_cast<std::size_t>(i)];
 }
 
 std::vector<NodeId> TimingReport::critical_vertices(
     const SizingNetwork& net) const {
-  const Digraph& g = net.dag();
-  // The CP endpoint is tracked during run_sta; fall back to an O(V) scan
-  // only for reports not produced by run_sta.
-  NodeId cur = cp_vertex;
-  if (cur == kInvalidNode) {
+  const SweepPlan& pl = net.plan();
+  MFT_CHECK_MSG(static_cast<int>(delay_pos.size()) == pl.n &&
+                    at_pos.size() == delay_pos.size(),
+                "critical_vertices needs a run_sta or run_arrivals report of "
+                "this network");
+  std::vector<NodeId> path;
+  int p = cp_vertex == kInvalidNode
+              ? -1
+              : pl.pos_of[static_cast<std::size_t>(cp_vertex)];
+  while (p >= 0) {
+    const std::size_t pi = static_cast<std::size_t>(p);
+    path.push_back(pl.vid[pi]);
+    // Step to the max-(AT+delay) fanin: that maximum is exactly how AT(p)
+    // was formed in the forward fold, so the comparison is exact, and
+    // taking the argmax (lowest vertex id on ties) makes the walk
+    // deterministic.
+    int next = -1;
     double best = -kInf;
-    for (NodeId v = 0; v < net.num_vertices(); ++v) {
-      const double end = at[static_cast<std::size_t>(v)] +
-                         delay[static_cast<std::size_t>(v)];
+    for (int k = pl.fanin_off[pi]; k < pl.fanin_off[pi + 1]; ++k) {
+      const int j = pl.fanin_pos[static_cast<std::size_t>(k)];
+      const std::size_t ji = static_cast<std::size_t>(j);
+      const double end = at_pos[ji] + delay_pos[ji];
       if (end > best) {
         best = end;
-        cur = v;
-      }
-    }
-  }
-  std::vector<NodeId> path;
-  while (cur != kInvalidNode) {
-    path.push_back(cur);
-    // Step to the max-(AT+delay) fanin: that maximum is exactly how AT(cur)
-    // was formed in the forward sweep, so the comparison is exact, and
-    // taking the argmax (lowest id on ties) makes the walk deterministic.
-    NodeId next = kInvalidNode;
-    double best = -kInf;
-    for (ArcId a : g.in_arcs(cur)) {
-      const NodeId j = g.tail(a);
-      const double end = at[static_cast<std::size_t>(j)] +
-                         delay[static_cast<std::size_t>(j)];
-      if (end > best || (end == best && next != kInvalidNode && j < next)) {
-        best = end;
+        next = j;
+      } else if (end == best && next >= 0 &&
+                 pl.vid[ji] < pl.vid[static_cast<std::size_t>(next)]) {
         next = j;
       }
     }
-    if (next != kInvalidNode &&
-        best != at[static_cast<std::size_t>(cur)])
-      next = kInvalidNode;  // AT came from the source floor, not a fanin
-    cur = next;
+    if (next >= 0 && best != at_pos[pi])
+      next = -1;  // AT came from the source floor, not a fanin
+    p = next;
   }
   std::reverse(path.begin(), path.end());
   return path;

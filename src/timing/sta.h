@@ -20,21 +20,22 @@
 //    that read only delays, ATs and the critical path (TILOS bumps). Same
 //    hint contract and delay recompute as above, then the AT fold resumes
 //    at the first sweep position whose delay changed (earlier positions
-//    cannot move), keeping the CP endpoint as a prefix argmax. No RT sweep,
-//    and only that suffix is written back to the report.
+//    cannot move), keeping the CP endpoint as a prefix argmax. No RT sweep
+//    and no id-order export.
 // All paths produce bit-identical delays, ATs and critical paths; the
 // tier-1 suite asserts the equivalences on randomized size updates.
-//
-// An arrival-only report holds `delay`, `at`, `critical_path` and
-// `cp_vertex`, all current, and leaves `rt` empty (never stale): slack(),
-// edge_slack() and safe() refuse it with MFT_CHECK, and the next run_sta on
-// the same scratch rebuilds all three arrays.
 //
 // Layout: the kernels never walk SizingVertex records. All hot state lives
 // in sweep-position order (SizingNetwork::plan()): the delay recompute and
 // the AT/RT sweeps stream the plan's SoA/CSR arrays level-contiguously,
-// and one final pass exports the id-indexed TimingReport (run_arrivals:
-// only the re-folded suffix). Values are
+// and the report carries the position-order delays and ATs they produce
+// (`delay_pos`, `at_pos`). A full run (every run_sta overload) also exports
+// the id-indexed `delay`, `at` and `rt`. An arrival-only report holds
+// `delay_pos`, `at_pos`, `critical_path` and `cp_vertex`, all current, and
+// leaves `delay`, `at` and `rt` empty (never stale): slack(), edge_slack()
+// and safe() refuse it with MFT_CHECK, and the next run_sta on the same
+// scratch rebuilds all three arrays. critical_vertices() reads only the
+// position arrays, so it walks either kind of report. Values are
 // bit-identical to the historical id-order walks (term order per vertex is
 // preserved; max/min folds are exact under reordering). Every kernel runs
 // sequentially on the calling thread; the engine parallelizes across jobs.
@@ -48,44 +49,52 @@
 namespace mft {
 
 struct TimingReport {
+  /// Id-indexed arrays, exported by full runs only (empty on an
+  /// arrival-only report).
   std::vector<double> delay;   ///< per-vertex delay under the given sizes
   std::vector<double> at;      ///< arrival time at the vertex *input*
   std::vector<double> rt;      ///< required time
+  /// The same delays and ATs in sweep-position order (index p is vertex
+  /// plan().vid[p]), filled by every run: the kernels' working arrays.
+  std::vector<double> delay_pos;
+  std::vector<double> at_pos;
   double critical_path = 0.0;  ///< CP(G) = max_v (at + delay)
   /// Endpoint realizing CP(G), tracked during the forward sweep (first
   /// vertex in topological order attaining the max — deterministic).
   NodeId cp_vertex = kInvalidNode;
 
   /// Vertex slack RT(v) − AT(v). Needs RT: fails with MFT_CHECK on an
-  /// arrival-only report.
+  /// arrival-only report, an empty one, or a `v` out of range.
   double slack(NodeId v) const;
 
   /// Edge slack esl(e_ij) = RT(j) − AT(i) − delay(i)  (eq. (8)). Needs RT:
-  /// fails with MFT_CHECK on an arrival-only report.
+  /// fails with MFT_CHECK like slack().
   double edge_slack(const SizingNetwork& net, ArcId a) const;
 
-  /// Vertices on the critical path, source→sink order. Deterministic: ends
-  /// at cp_vertex and walks back through the max-(AT+delay) fanin at every
-  /// step (ties broken by lowest vertex id).
+  /// Vertices on the critical path, source→sink order. Walks the plan's
+  /// fanin CSR over `at_pos + delay_pos` from cp_vertex's position, at
+  /// every step to the fanin with the largest AT + delay (exact ties go to
+  /// the lowest vertex id), and stops where the AT came from the source
+  /// floor. Fails with MFT_CHECK on a report without position arrays for
+  /// `net`.
   std::vector<NodeId> critical_vertices(const SizingNetwork& net) const;
 
   /// "Safe" per the paper: all vertex slacks and edge slacks >= -tol.
-  /// Fails with MFT_CHECK on an arrival-only report.
+  /// Fails with MFT_CHECK like slack().
   bool safe(const SizingNetwork& net, double tol = 1e-9) const;
 };
 
 /// Reusable state for incremental STA. Owned by callers that re-run timing
 /// many times on one network (W-phase/backoff loop, D-phase workspace).
 struct TimingScratch {
-  TimingReport report;             ///< result storage, reused across calls
-  /// Persistent sweep-position-order working set (see SizingNetwork::plan):
-  /// the kernels read and write only these; `report` is exported from them
-  /// at the end of each run. `sizes_pos` is the only record of the sizes
+  /// Result storage, reused across calls. Its `delay_pos` and `at_pos` are
+  /// the persistent position-order delays and ATs the next run updates.
+  TimingReport report;
+  /// The rest of the sweep-position-order working set (see
+  /// SizingNetwork::plan). `sizes_pos` is the only record of the sizes
   /// last timed (the change scan and the hint checks compare against it):
   /// callers may read it, never write it.
   std::vector<double> sizes_pos;
-  std::vector<double> delay_pos;
-  std::vector<double> at_pos;
   std::vector<double> rt_pos;
   /// cp_prefix[p]: position of the CP argmax over positions [0, p], written
   /// by every forward fold; run_arrivals resumes from it.
@@ -138,8 +147,9 @@ const TimingReport& run_sta(const SizingNetwork& net,
 /// Arrival-only incremental update with the same hint contract: re-delays
 /// the changed vertices and their reverse loads, then re-folds AT from the
 /// first changed sweep position to the end. Returns scratch.report holding
-/// current `delay`, `at`, `critical_path` and `cp_vertex`, bit-identical to
-/// run_sta's, with `rt` empty (see the header comment).
+/// current `delay_pos`, `at_pos`, `critical_path` and `cp_vertex`,
+/// bit-identical to run_sta's, with `delay`, `at` and `rt` empty (see the
+/// header comment).
 const TimingReport& run_arrivals(const SizingNetwork& net,
                                  const std::vector<double>& sizes,
                                  TimingScratch& scratch,

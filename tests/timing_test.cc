@@ -94,12 +94,16 @@ TEST(Sta, ArrivalOnlyReportHasNoRequiredTimes) {
   x[static_cast<std::size_t>(v)] *= 2.0;
   const TimingReport full = run_sta(net, x);
 
-  // Arrivals current, required times empty rather than stale.
+  // Arrivals current in position order; the id-indexed arrays empty
+  // rather than stale.
   const TimingReport& a = run_arrivals(net, x, scratch, {v});
-  EXPECT_EQ(a.delay, full.delay);
-  EXPECT_EQ(a.at, full.at);
+  EXPECT_EQ(a.delay_pos, full.delay_pos);
+  EXPECT_EQ(a.at_pos, full.at_pos);
   EXPECT_EQ(a.critical_path, full.critical_path);
   EXPECT_EQ(a.cp_vertex, full.cp_vertex);
+  EXPECT_EQ(a.critical_vertices(net), full.critical_vertices(net));
+  EXPECT_TRUE(a.delay.empty());
+  EXPECT_TRUE(a.at.empty());
   EXPECT_TRUE(a.rt.empty());
 
   // Slack queries refuse it.
@@ -142,11 +146,71 @@ TEST(Sta, ArrivalFoldKeepsACriticalEndpointBeforeTheChange) {
   TimingScratch scratch;
   run_sta(f.net, x0, scratch);
   const TimingReport& r = run_arrivals(f.net, x, scratch, {f3});
-  EXPECT_EQ(r.delay, full.delay);
-  EXPECT_EQ(r.at, full.at);
+  EXPECT_EQ(r.delay_pos, full.delay_pos);
+  EXPECT_EQ(r.at_pos, full.at_pos);
   EXPECT_EQ(r.critical_path, 10.0);
   EXPECT_EQ(r.cp_vertex, s);
   EXPECT_EQ(r.critical_vertices(f.net), full.critical_vertices(f.net));
+}
+
+TEST(Sta, EmptyReportRefusesEveryQuery) {
+  FixedDelayNet f;
+  const NodeId pi = f.source("pi");
+  const NodeId a = f.vertex("A", 2, /*po=*/true);
+  f.net.add_arc(pi, a);
+  f.net.freeze();
+  const TimingReport empty;
+  EXPECT_THROW(empty.slack(a), CheckError);
+  EXPECT_THROW(empty.edge_slack(f.net, 0), CheckError);
+  EXPECT_THROW(empty.safe(f.net), CheckError);
+  EXPECT_THROW(empty.critical_vertices(f.net), CheckError);
+
+  // A full report answers every query, but not for a vertex out of range.
+  const TimingReport t = run_sta(f.net, f.unit_sizes());
+  EXPECT_EQ(t.slack(a), 0.0);
+  EXPECT_EQ(t.edge_slack(f.net, 0), 0.0);
+  EXPECT_TRUE(t.safe(f.net));
+  EXPECT_EQ(t.critical_vertices(f.net), (std::vector<NodeId>{pi, a}));
+  EXPECT_THROW(t.slack(f.net.num_vertices()), CheckError);
+  EXPECT_THROW(t.slack(kInvalidNode), CheckError);
+}
+
+TEST(Sta, CriticalPathTieGoesToTheLowestVertexIdNotTheEarliestPosition) {
+  // C's fanins X and Y both end at 3. Y has the lower id but the later
+  // sweep position (level 3 against X's level 1), so a walk that broke
+  // ties by position would route through X.
+  FixedDelayNet f;
+  const NodeId pi = f.source("pi");
+  const NodeId y = f.vertex("Y", 1);
+  const NodeId a = f.vertex("A", 1);
+  const NodeId b = f.vertex("B", 1);
+  const NodeId x = f.vertex("X", 3);
+  const NodeId c = f.vertex("C", 1, /*po=*/true);
+  f.net.add_arc(pi, a);
+  f.net.add_arc(a, b);
+  f.net.add_arc(b, y);
+  f.net.add_arc(pi, x);
+  f.net.add_arc(x, c);
+  f.net.add_arc(y, c);
+  f.net.freeze();
+  const SweepPlan& pl = f.net.plan();
+  ASSERT_LT(pl.pos_of[static_cast<std::size_t>(x)],
+            pl.pos_of[static_cast<std::size_t>(y)]);
+  const std::vector<NodeId> want = {pi, a, b, y, c};
+
+  const std::vector<double> unit = f.unit_sizes();
+  const TimingReport full = run_sta(f.net, unit);
+  ASSERT_EQ(full.at[static_cast<std::size_t>(c)], 3.0);
+  EXPECT_EQ(full.critical_vertices(f.net), want);
+
+  // Arrival-only: X timed at twice its size, then shrunk back, so the fold
+  // resumes at X and re-forms the tie at C.
+  std::vector<double> wide = unit;
+  wide[static_cast<std::size_t>(x)] = 2.0;
+  TimingScratch scratch;
+  run_sta(f.net, wide, scratch);
+  EXPECT_EQ(run_arrivals(f.net, unit, scratch, {x}).critical_vertices(f.net),
+            want);
 }
 
 void expect_reports_identical(const TimingReport& a, const TimingReport& b) {
@@ -156,20 +220,22 @@ void expect_reports_identical(const TimingReport& a, const TimingReport& b) {
     EXPECT_EQ(a.at[i], b.at[i]) << "at " << i;
     EXPECT_EQ(a.rt[i], b.rt[i]) << "rt " << i;
   }
+  EXPECT_EQ(a.delay_pos, b.delay_pos);
+  EXPECT_EQ(a.at_pos, b.at_pos);
   EXPECT_EQ(a.critical_path, b.critical_path);
   EXPECT_EQ(a.cp_vertex, b.cp_vertex);
 }
 
-// Everything an arrival-only report carries: delay, at, the critical path
-// and its walk.
+// Everything an arrival-only report carries: the position-order delays
+// and ATs, the critical path and its walk.
 void expect_arrivals_identical(const SizingNetwork& net,
                                const TimingReport& full,
                                const TimingReport& got) {
-  ASSERT_EQ(full.delay.size(), got.delay.size());
-  ASSERT_EQ(full.at.size(), got.at.size());
-  for (std::size_t i = 0; i < full.delay.size(); ++i) {
-    EXPECT_EQ(full.delay[i], got.delay[i]) << "delay " << i;
-    EXPECT_EQ(full.at[i], got.at[i]) << "at " << i;
+  ASSERT_EQ(full.delay_pos.size(), got.delay_pos.size());
+  ASSERT_EQ(full.at_pos.size(), got.at_pos.size());
+  for (std::size_t p = 0; p < full.delay_pos.size(); ++p) {
+    EXPECT_EQ(full.delay_pos[p], got.delay_pos[p]) << "delay_pos " << p;
+    EXPECT_EQ(full.at_pos[p], got.at_pos[p]) << "at_pos " << p;
   }
   EXPECT_EQ(full.critical_path, got.critical_path);
   EXPECT_EQ(full.cp_vertex, got.cp_vertex);
